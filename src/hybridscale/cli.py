@@ -305,18 +305,21 @@ def _sim_defaults() -> dict:
 
 
 def _instance(n: int, seed: int, p: ScalingPoint, opts: dict):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        fm = map_finite_n(n, p)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fm = map_finite_n(n, p)
+        cfg = SimConfig(
+            p=float(opts["power"]),
+            tdma_k=int(opts["tdma_k"]),
+            r_bs=fm.r_bs,
+            hc_cluster_exponent=float(opts["hc_cluster_exponent"]),
+            hc_quant_bits=int(opts["hc_quant_bits"]),
+        )
+    except ValueError as exc:  # n < 4, tdma_k not a perfect square, bad power
+        raise ConfigError(str(exc)) from exc
     topo = generate_topology(TopologyConfig(n=n, m=fm.m, l=fm.l, seed=seed))
     ch = ChannelRealization(topo, alpha=p.alpha, phase_seed=seed)
-    cfg = SimConfig(
-        p=float(opts["power"]),
-        tdma_k=int(opts["tdma_k"]),
-        r_bs=fm.r_bs,
-        hc_cluster_exponent=float(opts["hc_cluster_exponent"]),
-        hc_quant_bits=int(opts["hc_quant_bits"]),
-    )
     return fm, topo, ch, cfg
 
 

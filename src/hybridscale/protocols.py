@@ -13,18 +13,22 @@ power P, per-BS power nP/m.  Schemes:
          exchange, long-range MIMO, quantize-and-collect); labeled as an
          estimate, not the recursive scheme.
 
-Routing decisions (relay picks, interferer representatives) are derived from
-the topology seed with keyed hashing, so a flow's route is a pure function
-of (instance, endpoints) - duplicating flows does not perturb routes.
+MH and both IMH radio stages share one multihop kernel on a g x g grid of
+routing cells.  Routing contract: a route is a pure function of the instance
+and the flow key - each relay is picked by hashing (topology seed, flow key,
+cell) - so duplicating flows changes no route.  Each loaded cell's interferer
+representative is hashed from the cell's distinct transmitter positions, so
+duplicates leave it unchanged too.  A hop's receiver hears one representative
+from every other loaded cell of its TDMA phase; nodes are half-duplex, so a
+representative that is the receiver itself does not interfere.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .channel import ChannelRealization, _U, _mix64
 from .scaling import SCHEME_PRIORITY
@@ -114,29 +118,23 @@ def _result(scheme, per_pair, stages=None, detail=""):
 
 
 # ---------------------------------------------------------------------------
-# Routing-grid machinery shared by MH and the IMH radio stages
+# Multihop kernel shared by MH and the IMH radio stages
 # ---------------------------------------------------------------------------
+
+_BLOCK = 1 << 16  # interference entries evaluated at once, bounding peak memory
+
 
 def routing_grid_size(n: int) -> int:
     """Cells per side; floor keeps cell area >= 2 ln n so cells are nonempty whp."""
     return max(1, math.floor(math.sqrt(n) / math.sqrt(2.0 * math.log(n))))
 
 
-def _hash_pick(seed: int, kind: np.uint64, a: int, b: int, count: int) -> int:
+def _hash_index(seed: int, kind: np.uint64, a, b, count) -> np.ndarray:
+    """Keyed index in [0, count) for each (a, b); the idiom of ``channel._phase``."""
     h = _mix64(_U(seed & 0xFFFFFFFFFFFFFFFF) ^ kind)
-    h = _mix64(h + _U(a))
-    h = _mix64(h + _U(b))
-    return int(h % _U(count))
-
-
-@dataclass
-class _Flow:
-    key: tuple[int, int]        # stable id driving relay choices
-    start: np.ndarray
-    end: np.ndarray
-    chain: list = field(default_factory=list)   # tx points, one per hop
-    cells: list = field(default_factory=list)   # tx cell per hop
-    targets: list = field(default_factory=list)  # rx point per hop
+    h = _mix64(h + np.asarray(a, dtype=_U))
+    h = _mix64(h + np.asarray(b, dtype=_U))
+    return (h % np.asarray(count, dtype=_U)).astype(np.int64)
 
 
 class _RoutingGrid:
@@ -144,118 +142,110 @@ class _RoutingGrid:
 
     def __init__(self, topo: Topology):
         self.topo = topo
-        self.g = routing_grid_size(topo.n)
-        self.cell_side = topo.config.side / self.g
-        ij = np.clip(
-            (topo.node_positions / self.cell_side).astype(np.int64), 0, self.g - 1
-        )
-        self.node_cell = ij[:, 0] + self.g * ij[:, 1]
-        order = np.argsort(self.node_cell, kind="stable")
-        self._sorted_nodes = order
-        self._starts = np.searchsorted(
-            self.node_cell[order], np.arange(self.g * self.g + 1)
-        )
-
-    def cell_of_point(self, p) -> int:
-        i = min(int(p[0] / self.cell_side), self.g - 1)
-        j = min(int(p[1] / self.cell_side), self.g - 1)
-        return i + self.g * j
-
-    def nodes_in_cell(self, c: int) -> np.ndarray:
-        return self._sorted_nodes[self._starts[c] : self._starts[c + 1]]
-
-    def route_cells(self, c0: int, c1: int) -> list[int]:
-        """Horizontal-then-vertical cell walk from c0 to c1, inclusive."""
-        g = self.g
-        i0, j0 = c0 % g, c0 // g
-        i1, j1 = c1 % g, c1 // g
-        cells = [i + g * j0 for i in _steps(i0, i1)]
-        cells += [i1 + g * j for j in _steps(j0, j1)][1:]
-        return cells
-
-    def phase_of(self, c: int, s: int) -> int:
-        i, j = c % self.g, c // self.g
-        return (i % s) + s * (j % s)
-
-
-def _steps(a: int, b: int) -> list[int]:
-    return list(range(a, b + 1)) if b >= a else list(range(a, b - 1, -1))
-
-
-def _build_flow(grid: _RoutingGrid, key, start, end, seed) -> _Flow:
-    """Resolve the relay chain of one flow: hop transmitters and receivers."""
-    f = _Flow(key=key, start=np.asarray(start), end=np.asarray(end))
-    cells = grid.route_cells(grid.cell_of_point(start), grid.cell_of_point(end))
-    points = [f.start]
-    for c in cells[1:-1]:
-        cand = grid.nodes_in_cell(c)
-        if cand.size == 0:
+        g = self.g = routing_grid_size(topo.n)
+        self.cell_side = topo.config.side / g
+        i, j = self.cell_ij(topo.node_positions)
+        node_cell = i + g * j
+        self.count = np.bincount(node_cell, minlength=g * g)
+        empty = np.nonzero(self.count == 0)[0]
+        if empty.size:
             raise EmptyRoutingCellError(
-                f"routing cell {c} is empty on route {key} "
-                f"(grid {grid.g}x{grid.g}, n={grid.topo.n})"
+                f"{empty.size} empty routing cell(s) at n={topo.n} "
+                f"(grid {g}x{g}); first: {empty[:5].tolist()}"
             )
-        pick = cand[_hash_pick(seed, _KIND_RELAY, key[0] * grid.g * grid.g + c, key[1], cand.size)]
-        points.append(grid.topo.node_positions[pick])
-    points.append(f.end)
-    f.chain = points[:-1]
-    f.targets = points[1:]
-    f.cells = cells[:-1] if len(cells) > 1 else [cells[0]]
-    if len(cells) == 1:
-        # start and end share a cell: one direct hop inside it
-        f.chain = [f.start]
-        f.targets = [f.end]
-    return f
+        self.nodes = np.argsort(node_cell, kind="stable")  # by cell, then index
+        self.first = np.cumsum(self.count) - self.count
+
+    def cell_ij(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ij = np.clip((points / self.cell_side).astype(np.int64), 0, self.g - 1)
+        return ij[:, 0], ij[:, 1]
 
 
-def _run_multihop(
+def _multihop_shares(
     grid: _RoutingGrid,
     cfg: SimConfig,
     alpha: float,
-    flows: list[_Flow],
+    key0: np.ndarray,
+    key1: np.ndarray,
+    start: np.ndarray,
+    end: np.ndarray,
     parallelism: int,
-    seed: int,
 ) -> np.ndarray:
-    k = cfg.tdma_k
+    """Per-flow rate of the multihop flows ``start[f] -> end[f]``.
+
+    Flow f walks the routing cells horizontally, then vertically; a walk
+    inside one cell is one direct hop.  Each intermediate cell c relays
+    through the node hashed from (key0[f] * g^2 + c, key1[f]).  A hop sent
+    from a cell carrying ``load`` hops gets its SINR rate times
+    min(parallelism, load) / (tdma_k * load); a flow gets its slowest hop.
+    """
+    g, p, k = grid.g, cfg.p, cfg.tdma_k
     s = math.isqrt(k)
-    p = cfg.p
+    seed = grid.topo.config.seed
 
-    load: dict[int, int] = {}
-    tx_by_cell: dict[int, dict[tuple, np.ndarray]] = {}
-    for f in flows:
-        for c, u in zip(f.cells, f.chain):
-            load[c] = load.get(c, 0) + 1
-            tx_by_cell.setdefault(c, {})[(float(u[0]), float(u[1]))] = u
+    # hops as flat arrays, flow by flow in walk order
+    i0, j0 = grid.cell_ij(start)
+    i1, j1 = grid.cell_ij(end)
+    di, dj = np.abs(i1 - i0), np.abs(j1 - j0)
+    hops = np.maximum(di + dj, 1)
+    first = np.cumsum(hops) - hops
+    flow = np.repeat(np.arange(hops.size), hops)
+    t = np.arange(flow.size) - first[flow]           # step along the walk
+    across = np.minimum(t, di[flow])
+    cell = (i0[flow] + np.sign(i1 - i0)[flow] * across
+            + g * (j0[flow] + np.sign(j1 - j0)[flow] * (t - across)))
 
-    # one representative transmitter per loaded cell, stable under flow
-    # duplication because candidates are deduplicated positions
-    rep_pos: dict[int, np.ndarray] = {}
-    for c, txs in tx_by_cell.items():
-        keys = sorted(txs.keys())
-        rep_pos[c] = txs[keys[_hash_pick(seed, _KIND_REP, c, 0, len(keys))]]
+    tx = start[flow]
+    relay = np.nonzero(t > 0)[0]
+    rc, rf = cell[relay], flow[relay]
+    pick = _hash_index(seed, _KIND_RELAY, key0[rf] * (g * g) + rc, key1[rf], grid.count[rc])
+    tx[relay] = grid.topo.node_positions[grid.nodes[grid.first[rc] + pick]]
+    rx = np.empty_like(tx)
+    rx[:-1] = tx[1:]
+    rx[first + hops - 1] = end
 
-    cells_by_phase: dict[int, list[int]] = {}
-    for c in load:
-        cells_by_phase.setdefault(grid.phase_of(c, s), []).append(c)
-    rep_arrays = {
-        ph: (np.array(cs), np.array([rep_pos[c] for c in cs]))
-        for ph, cs in cells_by_phase.items()
-    }
+    # one representative transmitter per loaded cell, hashed over the cell's
+    # distinct transmitter positions in (x, y) order
+    order = np.lexsort((tx[:, 1], tx[:, 0], cell))
+    sc, sx, sy = cell[order], tx[order, 0], tx[order, 1]
+    distinct = np.ones(sc.size, dtype=bool)
+    distinct[1:] = (sc[1:] != sc[:-1]) | (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])
+    sc, sx, sy = sc[distinct], sx[distinct], sy[distinct]
+    loaded, lo, cnt = np.unique(sc, return_index=True, return_counts=True)
+    rep = lo + _hash_index(seed, _KIND_REP, loaded, 0, cnt)
+    # interference is summed over representatives in the order their cells
+    # first carry a hop
+    appear = np.argsort(np.unique(cell, return_index=True)[1])
+    rep_cell, rep_x, rep_y = loaded[appear], sx[rep][appear], sy[rep][appear]
 
-    shares = np.full(len(flows), math.inf)
-    for idx, f in enumerate(flows):
-        for c, u, v in zip(f.cells, f.chain, f.targets):
-            d = float(np.hypot(v[0] - u[0], v[1] - u[1]))
-            signal = p * d ** (-alpha)
-            ph = grid.phase_of(c, s)
-            cs, reps = rep_arrays[ph]
-            dist = np.hypot(reps[:, 0] - v[0], reps[:, 1] - v[1])
-            with np.errstate(divide="ignore"):
-                interf = p * np.sum(np.where(cs != c, dist ** (-alpha), 0.0))
-            rate = math.log2(1.0 + signal / (1.0 + interf))
-            ld = load[c]
-            share = rate * min(parallelism, ld) / (k * ld)
-            if share < shares[idx]:
-                shares[idx] = share
+    def phase(c):
+        return (c % g) % s + s * ((c // g) % s)
+
+    hop_phase, rep_phase = phase(cell), phase(rep_cell)
+    interf = np.empty(cell.size)
+    for ph in np.unique(rep_phase):
+        same = rep_phase == ph
+        cs, xs, ys = rep_cell[same], rep_x[same], rep_y[same]
+        at = np.nonzero(hop_phase == ph)[0]
+        step = max(1, _BLOCK // cs.size)
+        for a in range(0, at.size, step):
+            h = at[a : a + step]
+            dist = np.hypot(xs - rx[h, 0][:, None], ys - rx[h, 1][:, None])
+            dist[dist == 0.0] = math.inf  # half-duplex: the receiver is silent
+            gain = np.where(cs != cell[h][:, None], dist ** (-alpha), 0.0)
+            interf[h] = p * gain.sum(axis=1)
+
+    # Python floats on purpose: numpy's vector power and log2 can differ from
+    # the scalar ones in the last bit
+    d = np.hypot(rx[:, 0] - tx[:, 0], rx[:, 1] - tx[:, 1])
+    rate = np.array([
+        math.log2(1.0 + p * dd ** (-alpha) / (1.0 + ii))
+        for dd, ii in zip(d.tolist(), interf.tolist())
+    ])
+    load = np.bincount(cell, minlength=g * g)[cell]
+    share = rate * np.minimum(parallelism, load) / (k * load)
+    shares = np.full(hops.size, math.inf)
+    np.minimum.at(shares, flow, share)
     return shares
 
 
@@ -280,26 +270,11 @@ def simulate_mh(
     else:
         pairs = np.asarray(pairs)
         src, dst = pairs[:, 0], pairs[:, 1]
-    grid = _RoutingGrid(topo)
-    _require_nonempty_grid(grid)
-    seed = topo.config.seed
     pos = topo.node_positions
-    flows = [
-        _build_flow(grid, (int(a), int(b)), pos[a], pos[b], seed)
-        for a, b in zip(src, dst)
-    ]
-    shares = _run_multihop(grid, cfg, ch.alpha, flows, parallelism=1, seed=seed)
+    shares = _multihop_shares(
+        _RoutingGrid(topo), cfg, ch.alpha, src, dst, pos[src], pos[dst], 1
+    )
     return _result("MH", shares)
-
-
-def _require_nonempty_grid(grid: _RoutingGrid) -> None:
-    counts = np.bincount(grid.node_cell, minlength=grid.g * grid.g)
-    empty = np.nonzero(counts == 0)[0]
-    if empty.size:
-        raise EmptyRoutingCellError(
-            f"{empty.size} empty routing cell(s) at n={grid.topo.n} "
-            f"(grid {grid.g}x{grid.g}); first: {empty[:5].tolist()}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +289,6 @@ def _wired_share(r_bs: float, counts: np.ndarray) -> np.ndarray:
         return np.where(counts > 0, r_bs / np.maximum(counts, 1.0), math.inf)
 
 
-def _nearest_boundary_antenna(topo: Topology, bs: int, point: np.ndarray) -> np.ndarray:
-    ring = topo.boundary_antennas[bs]
-    d = np.linalg.norm(ring - point[None, :], axis=1)
-    return ring[int(np.argmin(d))]
-
-
 def simulate_imh(topo: Topology, ch: ChannelRealization, cfg: SimConfig) -> SimResult:
     """Multihop access to the home BS, wired relay, multihop exit.
 
@@ -329,24 +298,20 @@ def simulate_imh(topo: Topology, ch: ChannelRealization, cfg: SimConfig) -> SimR
     """
     n, m = topo.n, topo.m
     grid = _RoutingGrid(topo)
-    _require_nonempty_grid(grid)
-    seed = topo.config.seed
     pos = topo.node_positions
     home = topo.cell_index_of(pos)          # BS cell of each node
     dst = topo.sd_pairing
     par = topo.config.boundary_count        # min(l, ceil(sqrt(n/m)))
 
-    access_flows = []
-    exit_flows = []
-    for i in range(n):
-        a_ant = _nearest_boundary_antenna(topo, int(home[i]), pos[i])
-        access_flows.append(_build_flow(grid, (i, 2 * n + int(home[i])), pos[i], a_ant, seed))
-        j = int(dst[i])
-        e_ant = _nearest_boundary_antenna(topo, int(home[j]), pos[j])
-        exit_flows.append(_build_flow(grid, (n + j, 3 * n + int(home[j])), e_ant, pos[j], seed))
+    # each node's nearest boundary antenna of its home BS
+    ring = topo.boundary_antennas[home]     # (n, boundary_count, 2)
+    near = np.argmin(np.linalg.norm(ring - pos[:, None, :], axis=2), axis=1)
+    ant = ring[np.arange(n), near]
 
-    access = _run_multihop(grid, cfg, ch.alpha, access_flows, par, seed)
-    exit_ = _run_multihop(grid, cfg, ch.alpha, exit_flows, par, seed)
+    access = _multihop_shares(grid, cfg, ch.alpha, np.arange(n), 2 * n + home, pos, ant, par)
+    exit_ = _multihop_shares(
+        grid, cfg, ch.alpha, n + dst, 3 * n + home[dst], ant[dst], pos[dst], par
+    )
 
     cnt_up = np.bincount(home, minlength=m).astype(float)
     cnt_down = np.bincount(home[dst], minlength=m).astype(float)
@@ -581,5 +546,8 @@ def fit_scaling_exponent(points) -> tuple[float, float]:
         raise ValueError("need at least 3 distinct network sizes to fit a slope")
     x = np.log([n for n, _ in pts])
     y = np.log([t for _, t in pts])
-    fit = stats.linregress(x, y)
-    return float(fit.slope), float(fit.stderr)
+    # the arithmetic of scipy.stats.linregress, which it matches bit for bit
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0) if ssym > 0.0 else math.nan
+    stderr = np.sqrt((1 - r**2) * ssym / ssxm / (len(x) - 2))
+    return float(ssxym / ssxm), float(stderr)

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 
 class InfeasibleGeometryError(ValueError):
@@ -260,6 +259,8 @@ def cell_counts(t: Topology) -> np.ndarray:
 
 def min_pairwise_distance(t: Topology) -> float:
     """Smallest node-node or node-boundary-antenna distance (inf if none)."""
+    from scipy.spatial import cKDTree  # kept off the import path of the CLI
+
     best = math.inf
     pts = t.node_positions
     if len(pts) >= 2:

@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -99,6 +101,30 @@ def test_simulate_rejects_unknown_scheme():
     assert cli.main(["simulate", "--sizes", "64", "--alpha", "3", "--beta", "0",
                      "--gamma", "0", "--eta", "inf", "--seeds", "0",
                      "--schemes", "XYZ"]) == 2
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--sizes", "3"], "n must be at least 4"),
+        (["--sizes", "256", "--tdma-k", "8"], "tdma_k must be a perfect square"),
+    ],
+)
+def test_simulate_bad_instance_is_one_line_error(capsys, flags, message):
+    argv = ["simulate", *flags, "--seeds", "0", "--alpha", "3", "--beta", "0",
+            "--gamma", "0", "--eta=inf"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, hybridscale.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_simulate_rerun_is_byte_identical(tmp_path):

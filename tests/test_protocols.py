@@ -160,6 +160,17 @@ def test_mh_deterministic_and_phase_free():
     assert not np.array_equal(a.per_pair_rates, d.per_pair_rates)
 
 
+def test_mh_tdma_reuse_one_has_no_zero_rate_flow():
+    # with every cell in one TDMA phase, the representative of the next cell
+    # on a route can be the hop's own receiver; a half-duplex receiver must
+    # not count as its own interferer
+    topo = generate_topology(TopologyConfig(n=1024, seed=0))
+    ch = ChannelRealization(topo, alpha=3.0, phase_seed=0)
+    rates = simulate_mh(topo, ch, SimConfig(p=100.0, tdma_k=1)).per_pair_rates
+    assert np.all(np.isfinite(rates))
+    assert np.count_nonzero(rates == 0.0) == 0
+
+
 def test_mh_slope_in_window():
     pts = []
     for n in SIZES:
@@ -423,6 +434,22 @@ def test_fit_exact_power_laws():
     assert stderr == pytest.approx(0.0, abs=1e-12)
     slope, _ = fit_scaling_exponent([(n, 3.7 * n**0.82) for n in ns])
     assert slope == pytest.approx(0.82, abs=1e-12)
+
+
+def test_fit_matches_scipy_linregress_exactly():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(7)
+    cases = [
+        [(256, 0.62), (512, 0.83), (1024, 0.97)],
+        [(n, 3.7 * n**0.82) for n in (100, 200, 400, 800)],
+        [(n, 5.0 * n**-1.5) for n in (1024, 2048, 4096)],
+    ]
+    for size in (3, 5, 40):
+        ns = np.sort(rng.uniform(64.0, 1e5, size))
+        cases.append(list(zip(ns, ns**0.5 * np.exp(rng.normal(0.0, 0.3, size)))))
+    for pts in cases:
+        fit = stats.linregress(np.log([n for n, _ in pts]), np.log([t for _, t in pts]))
+        assert fit_scaling_exponent(pts) == (float(fit.slope), float(fit.stderr))
 
 
 def test_fit_needs_three_distinct_sizes():
