@@ -1,10 +1,12 @@
-"""Golden outputs: the CLI reproduces committed CSV files byte for byte.
+"""Golden outputs: the CLI reproduces committed output files byte for byte.
 
 The files under ``tests/golden/`` pin the exact bytes of ``simulate`` (all
-four schemes) and ``bound`` at small sizes.  A kernel rewrite that changes a
-single floating-point rounding anywhere in MH, HC, IMH, ISH or the cut-set
-bounds fails here.  Regenerate a file only when an output change is
-intended, with the command in its parametrization below.
+four schemes) and ``bound`` at small sizes, and of the analytic subcommands
+``regime-map``, ``min-backhaul`` and ``exponent`` (text and JSON).  A kernel
+rewrite that changes a single floating-point rounding anywhere in MH, HC,
+IMH, ISH, the cut-set bounds or the exponent formulas fails here.
+Regenerate a file only when an output change is intended, with the command
+in its parametrization below.
 """
 
 from pathlib import Path
@@ -16,7 +18,9 @@ from hybridscale import cli
 GOLDEN = Path(__file__).parent / "golden"
 
 _SIZES_SEEDS = ["--sizes", "256", "512", "--seeds", "0", "1"]
+_GRID_12 = ["--beta-grid", "0", "0.95", "12", "--gamma-grid", "0", "0.95", "12"]
 
+# commands that write their output with -o
 CASES = {
     "simulate_a3_b0_g0_etainf.csv": [
         "simulate", *_SIZES_SEEDS,
@@ -31,6 +35,29 @@ CASES = {
         "bound", *_SIZES_SEEDS,
         "--alpha", "3", "--beta", "0.3", "--gamma", "0.3", "--eta", "0.2",
     ],
+    # default 20 x 20 grid and reference alphas
+    "regime_map_eta0.2.csv": ["regime-map", "--eta", "0.2"],
+    "regime_map_etainf.csv": ["regime-map", "--eta=inf", *_GRID_12,
+                              "--alphas", "2.2", "2.8", "3.5", "6"],
+    "regime_map_eta0.7.json": ["regime-map", "--eta", "0.7", *_GRID_12,
+                               "--format", "json"],
+    "min_backhaul.csv": ["min-backhaul"],
+}
+
+# exponent prints to stdout only; one point per best scheme
+_POINTS = {
+    "a3_b0_g0_eta-inf": ["--alpha", "3", "--beta", "0", "--gamma", "0",
+                         "--eta=-inf"],
+    "a2.5_b0.3_g0.3_eta0.2": ["--alpha", "2.5", "--beta", "0.3", "--gamma", "0.3",
+                              "--eta", "0.2"],
+    "a2.5_b0.5_g0.45_etainf": ["--alpha", "2.5", "--beta", "0.5", "--gamma", "0.45",
+                               "--eta=inf"],
+    "a4_b0.5_g0.25_eta0.1": ["--alpha", "4", "--beta", "0.5", "--gamma", "0.25",
+                             "--eta", "0.1"],
+}
+STDOUT_CASES = {
+    **{f"exponent_{k}.txt": ["exponent", *v] for k, v in _POINTS.items()},
+    **{f"exponent_{k}.json": ["exponent", *v, "--json"] for k, v in _POINTS.items()},
 }
 
 
@@ -39,3 +66,11 @@ def test_cli_output_matches_golden(name, tmp_path):
     out = tmp_path / name
     assert cli.main([*CASES[name], "-o", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_CASES))
+def test_cli_stdout_matches_golden(name, capsys):
+    assert cli.main(STDOUT_CASES[name]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode() == (GOLDEN / name).read_bytes()
