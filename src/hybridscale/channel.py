@@ -94,12 +94,6 @@ class ChannelRealization:
 
     # -- node-to-BS and BS-to-node -----------------------------------------
 
-    def _antenna_distances(self, bs: int, nodes: np.ndarray) -> np.ndarray:
-        ant = self.topology.antenna_positions[bs]          # (l, 2)
-        pos = self.topology.node_positions[nodes]          # (N, 2)
-        diff = pos[:, None, :] - ant[None, :, :]
-        return _check_distances(np.linalg.norm(diff, axis=-1))  # (N, l)
-
     def uplink_vector(self, i: int, bs: int) -> np.ndarray:
         """Length-l uplink vector from node i to the antennas of BS ``bs``."""
         return self.uplink_matrix(bs, np.array([i]))[:, 0]
@@ -107,7 +101,7 @@ class ChannelRealization:
     def uplink_matrix(self, bs: int, nodes: np.ndarray) -> np.ndarray:
         """(l, N) matrix; column j is the uplink vector of nodes[j]."""
         nodes = np.asarray(nodes, dtype=np.int64)
-        r = self._antenna_distances(bs, nodes)             # (N, l)
+        r = self.antenna_distances(bs, nodes)              # (N, l)
         t = np.arange(self.topology.l, dtype=np.int64)
         theta = _phase(self.phase_seed, _KIND_UPLINK, nodes[:, None], bs, t[None, :])
         return (np.exp(1j * theta) * r ** (-self.alpha / 2.0)).T
@@ -119,7 +113,7 @@ class ChannelRealization:
     def downlink_matrix(self, bs: int, nodes: np.ndarray) -> np.ndarray:
         """(N, l) matrix; row j is the downlink row vector to nodes[j]."""
         nodes = np.asarray(nodes, dtype=np.int64)
-        r = self._antenna_distances(bs, nodes)
+        r = self.antenna_distances(bs, nodes)
         t = np.arange(self.topology.l, dtype=np.int64)
         theta = _phase(
             self.phase_seed, _KIND_DOWNLINK, nodes[:, None], bs, t[None, :]
@@ -130,4 +124,7 @@ class ChannelRealization:
 
     def antenna_distances(self, bs: int, nodes: np.ndarray) -> np.ndarray:
         """(N, l) distances from each node to each antenna of BS ``bs``."""
-        return self._antenna_distances(bs, np.asarray(nodes, dtype=np.int64))
+        ant = self.topology.antenna_positions[bs]          # (l, 2)
+        pos = self.topology.node_positions[np.asarray(nodes, dtype=np.int64)]
+        diff = pos[:, None, :] - ant[None, :, :]
+        return _check_distances(np.linalg.norm(diff, axis=-1))

@@ -36,15 +36,8 @@ import numpy as np
 from . import __version__
 from .channel import ChannelRealization
 from .cutset import bound_l1, bound_l2
-from .protocols import (
-    SCHEME_ORDER,
-    SimConfig,
-    estimate_hc_single_level,
-    fit_scaling_exponent,
-    simulate_imh,
-    simulate_ish,
-    simulate_mh,
-)
+from .protocols import RUNNERS as _RUNNERS
+from .protocols import SimConfig, fit_scaling_exponent
 from .scaling import (
     InvalidPointError,
     ScalingPoint,
@@ -65,12 +58,8 @@ BOUND_COLUMNS = (
     "cut", "D1", "D2", "D3", "wired", "total",
 )
 
-_RUNNERS = {
-    "MH": simulate_mh,
-    "HC": estimate_hc_single_level,
-    "IMH": simulate_imh,
-    "ISH": simulate_ish,
-}
+#: SimConfig fields that only ``simulate`` sets; their defaults are SimConfig's
+_SIM_KNOBS = ("tdma_k", "hc_cluster_exponent", "hc_quant_bits")
 
 
 class ConfigError(Exception):
@@ -100,19 +89,45 @@ def _load_config(path: str) -> dict:
 _REQUIRED = object()
 
 
+def _typed(action: argparse.Action, value):
+    """A config value checked and converted as its flag's parser would."""
+    bad = ConfigError(f"config key {action.dest} has a bad value: {value!r}")
+    if action.nargs == 0:  # a store_true flag
+        if not isinstance(value, bool):
+            raise bad
+        return value
+    items = value if isinstance(value, list) else [value]
+    if ((action.nargs is None) == isinstance(value, list)
+            or (action.nargs == "+" and not items)
+            or (isinstance(action.nargs, int) and len(items) != action.nargs)):
+        raise bad
+    if action.type is None:
+        if not all(isinstance(v, str) for v in items):
+            raise bad
+    else:
+        try:
+            items = [action.type(str(v)) for v in items]
+        except ValueError:
+            raise bad from None
+    if action.choices and not set(items) <= set(action.choices):
+        raise bad
+    return items if action.nargs is not None else items[0]
+
+
 def _effective(args: argparse.Namespace, defaults: dict) -> dict:
     """Merge defaults < config file < explicit flags (flags parse to None)."""
     config = _load_config(args.config) if getattr(args, "config", None) else {}
     unknown = set(config) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    actions = {a.dest: a for a in args.parser._actions}
     out = {}
     for key, fallback in defaults.items():
         flag = getattr(args, key, None)
         if flag is not None:
             out[key] = flag
         elif key in config:
-            out[key] = config[key]
+            out[key] = _typed(actions[key], config[key])
         elif fallback is _REQUIRED:
             raise ConfigError(f"missing required option --{key.replace('_', '-')}")
         else:
@@ -131,7 +146,6 @@ def _resolve_seeds(opts: dict) -> list[int]:
             raise ConfigError(f"--num-seeds must be positive, got {count}")
         base = opts["seed_base"] or 0
         seeds = list(range(base, base + count))
-    seeds = [int(s) for s in seeds]
     if not seeds:
         raise ConfigError("at least one seed is required")
     return seeds
@@ -176,22 +190,17 @@ def _emit(opts: dict, header: dict, columns, rows, trailers, extra: dict) -> Non
         text = "\n".join(lines) + "\n"
     out = opts.get("output")
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
 
 def _point(opts: dict) -> ScalingPoint:
-    try:
-        return ScalingPoint(
-            alpha=float(opts["alpha"]),
-            beta=float(opts["beta"]),
-            gamma=float(opts["gamma"]),
-            eta=float(opts["eta"]),
-        )
-    except InvalidPointError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ScalingPoint(opts["alpha"], opts["beta"], opts["gamma"], opts["eta"])
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +257,7 @@ def _cmd_regime_map(args: argparse.Namespace) -> int:
         "alphas": (2.5, 3.0, 5.0),
         "output": None, "format": "csv",
     })
-    eta = float(opts["eta"])
-    alphas = [float(a) for a in opts["alphas"]]
+    eta, alphas = opts["eta"], opts["alphas"]
     if any(a <= 2.0 for a in alphas):
         raise ConfigError("reference alphas must exceed 2")
     bg = _grid(opts["beta_grid"], "beta")
@@ -297,9 +305,7 @@ def _sim_defaults() -> dict:
     return {
         "sizes": _REQUIRED, "alpha": _REQUIRED, "beta": _REQUIRED,
         "gamma": _REQUIRED, "eta": _REQUIRED,
-        "seeds": None, "num_seeds": None, "seed_base": 0,
-        "power": 100.0, "tdma_k": 9,
-        "hc_cluster_exponent": 0.5, "hc_quant_bits": 8,
+        "seeds": None, "num_seeds": None, "seed_base": 0, "power": 100.0,
         "output": None, "format": "csv",
     }
 
@@ -309,13 +315,8 @@ def _instance(n: int, seed: int, p: ScalingPoint, opts: dict):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fm = map_finite_n(n, p)
-        cfg = SimConfig(
-            p=float(opts["power"]),
-            tdma_k=int(opts["tdma_k"]),
-            r_bs=fm.r_bs,
-            hc_cluster_exponent=float(opts["hc_cluster_exponent"]),
-            hc_quant_bits=int(opts["hc_quant_bits"]),
-        )
+        cfg = SimConfig(p=opts["power"], r_bs=fm.r_bs,
+                        **{k: opts[k] for k in _SIM_KNOBS if k in opts})
     except ValueError as exc:  # n < 4, tdma_k not a perfect square, bad power
         raise ConfigError(str(exc)) from exc
     topo = generate_topology(TopologyConfig(n=n, m=fm.m, l=fm.l, seed=seed))
@@ -324,21 +325,20 @@ def _instance(n: int, seed: int, p: ScalingPoint, opts: dict):
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    defaults = _sim_defaults()
-    defaults["schemes"] = list(SCHEME_ORDER)
-    opts = _effective(args, defaults)
+    opts = _effective(args, {**_sim_defaults(), "schemes": list(_RUNNERS),
+                             **{k: getattr(SimConfig, k) for k in _SIM_KNOBS}})
     seeds = _resolve_seeds(opts)
-    sizes = [int(n) for n in opts["sizes"]]
+    sizes = opts["sizes"]
     schemes = [s.upper() for s in opts["schemes"]]
     bad = [s for s in schemes if s not in _RUNNERS]
     if bad or not schemes:
         raise ConfigError(f"unknown schemes {bad}; choose from {list(_RUNNERS)}")
-    schemes = [s for s in SCHEME_ORDER if s in schemes]
+    schemes = [s for s in _RUNNERS if s in schemes]
     p = _point(opts)
 
     rows = []
     agg: dict[str, dict[int, list[float]]] = {s: {} for s in schemes}
-    violations = 0
+    violations = []
     for n in sizes:
         for seed in seeds:
             fm, topo, ch, cfg = _instance(n, seed, p, opts)
@@ -356,7 +356,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 ])
                 agg[scheme].setdefault(n, []).append(res.aggregate_throughput)
                 if res.aggregate_throughput > cut + 1e-9:
-                    violations += 1
+                    violations.append(
+                        f"{scheme} n={n} seed={seed} "
+                        f"aggregate={_fmt(res.aggregate_throughput)} cut={_fmt(cut)}")
             rows.append(["MIN_CUT", n, fm.m, fm.l, fm.r_bs, p.alpha, seed,
                          cut, None, None, None])
 
@@ -378,33 +380,25 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "sizes": " ".join(str(n) for n in sizes),
         "seeds": " ".join(str(s) for s in seeds),
         "schemes": " ".join(schemes),
-        "power": float(opts["power"]), "tdma_k": int(opts["tdma_k"]),
-        "hc_cluster_exponent": float(opts["hc_cluster_exponent"]),
-        "hc_quant_bits": int(opts["hc_quant_bits"]),
+        **{k: opts[k] for k in ("power", *_SIM_KNOBS)},
     }
     _emit(opts, header, SIM_COLUMNS, rows, trailers, {"slopes": slopes})
     if violations:
-        print(f"invariant violation: {violations} row(s) exceed the cut-set "
-              "bound", file=sys.stderr)
+        print(f"invariant violation: {len(violations)} row(s) exceed the cut-set "
+              f"bound: {'; '.join(violations)}", file=sys.stderr)
         return 3
     return 0
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
-    defaults = _sim_defaults()
-    for key in ("tdma_k", "hc_cluster_exponent", "hc_quant_bits"):
-        del defaults[key]
-    opts = _effective(args, defaults)
+    opts = _effective(args, _sim_defaults())
     seeds = _resolve_seeds(opts)
-    sizes = [int(n) for n in opts["sizes"]]
+    sizes = opts["sizes"]
     p = _point(opts)
     rows = []
     for n in sizes:
         for seed in seeds:
-            fm, topo, ch, cfg = _instance(n, seed, p,
-                                          {**opts, "tdma_k": 9,
-                                           "hc_cluster_exponent": 0.5,
-                                           "hc_quant_bits": 8})
+            fm, topo, ch, cfg = _instance(n, seed, p, opts)
             b1 = bound_l1(topo, ch, cfg)
             b2 = bound_l2(topo, ch, cfg)
             base = [n, fm.m, fm.l, fm.r_bs, p.alpha, seed]
@@ -419,7 +413,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         "alpha": p.alpha, "beta": p.beta, "gamma": p.gamma, "eta": p.eta,
         "sizes": " ".join(str(n) for n in sizes),
         "seeds": " ".join(str(s) for s in seeds),
-        "power": float(opts["power"]),
+        "power": opts["power"],
     }
     _emit(opts, header, BOUND_COLUMNS, rows, [], {})
     return 0
@@ -508,6 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--power", type=float, help="per-node transmit power P")
     _add_io_flags(sp)
     sp.set_defaults(func=_cmd_bound)
+    for sp in sub.choices.values():  # config values are typed by these flags
+        sp.set_defaults(parser=sp)
     return parser
 
 
@@ -519,10 +515,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InvalidPointError as exc:
+    except (ConfigError, InvalidPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

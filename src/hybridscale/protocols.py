@@ -31,13 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, _U, _mix64
-from .scaling import SCHEME_PRIORITY
+from .scaling import SCHEME_CODES
 from .topology import Topology
 
 _KIND_RELAY = _U(4)
 _KIND_REP = _U(5)
-
-SCHEME_ORDER = ("MH", "HC", "IMH", "ISH")  # canonical presentation order
 
 
 class EmptyRoutingCellError(RuntimeError):
@@ -514,8 +512,17 @@ def estimate_hc_single_level(
 
 
 # ---------------------------------------------------------------------------
-# Best-of and slope fitting
+# Scheme registry, best-of and slope fitting
 # ---------------------------------------------------------------------------
+
+#: Scheme name -> runner, in the canonical presentation (CSV row) order.
+RUNNERS = {
+    "MH": simulate_mh,
+    "HC": estimate_hc_single_level,
+    "IMH": simulate_imh,
+    "ISH": simulate_ish,
+}
+
 
 def best_of_schemes(
     topo: Topology, ch: ChannelRealization, cfg: SimConfig
@@ -523,19 +530,12 @@ def best_of_schemes(
     """Run all four schemes; the largest aggregate wins.
 
     Exact ties (which only arise in degenerate setups, e.g. zero power)
-    are resolved with the same scheme priority the exponent oracle uses,
-    so measured winners and predicted winners break ties identically.
+    are resolved with the same scheme priority (SCHEME_CODES) the exponent
+    oracle uses, so measured winners and predicted winners break ties
+    identically.
     """
-    runs = {
-        "MH": simulate_mh(topo, ch, cfg),
-        "HC": estimate_hc_single_level(topo, ch, cfg),
-        "IMH": simulate_imh(topo, ch, cfg),
-        "ISH": simulate_ish(topo, ch, cfg),
-    }
-    best = max(
-        SCHEME_ORDER,
-        key=lambda s: (runs[s].aggregate_throughput, SCHEME_PRIORITY[s]),
-    )
+    runs = {name: run(topo, ch, cfg) for name, run in RUNNERS.items()}
+    best = max(runs, key=lambda s: (runs[s].aggregate_throughput, SCHEME_CODES[s]))
     return best, runs[best]
 
 

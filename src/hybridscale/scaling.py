@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -27,15 +27,11 @@ NEG_INF = float("-inf")
 #: Finite-difference step used by the DoF-limitation sensitivity probe.
 SENSITIVITY_DELTA = 1e-6
 
-#: Deterministic priority used to resolve exact exponent ties.  Higher wins,
-#: so ties on regime boundaries are attributed to the scheme that is best on
-#: the high-alpha side of the boundary (IMH beats ISH beats MH beats HC).
-SCHEME_PRIORITY = {"IMH": 3, "ISH": 2, "MH": 1, "HC": 0}
-
-SCHEMES = ("MH", "HC", "ISH", "IMH")
-
-REGIMES_2D = ("A", "B", "C", "D")
-REGIMES_3D = ("A", "B", "C", "D", "B~", "D~")
+#: Scheme codes of the ``*_grid`` functions, listed in code order.  A code is
+#: also the scheme's priority for exact exponent ties: higher wins, so ties on
+#: regime boundaries are attributed to the scheme that is best on the
+#: high-alpha side of the boundary (IMH beats ISH beats MH beats HC).
+SCHEME_CODES = {"HC": 0, "MH": 1, "ISH": 2, "IMH": 3}
 
 
 class InvalidPointError(ValueError):
@@ -93,7 +89,8 @@ class SchemeExponents:
 
 # The elementary exponent formulas.  All higher-level code (scalar, grid and
 # alpha-interval evaluation) must go through these so that equal quantities
-# are computed by the identical floating-point expression.
+# are computed by the identical floating-point expression.  They take floats
+# or broadcast numpy arrays alike.
 
 def _e_mh() -> float:
     return 0.5
@@ -143,31 +140,36 @@ def scheme_exponents(p: ScalingPoint) -> SchemeExponents:
 # Achievable exponent and matching upper bound
 # ---------------------------------------------------------------------------
 
-def _attribute_infra(ish_raw: float, imh_raw: float) -> str:
-    # The infrastructure branch (capped or not) is credited to the scheme
-    # with the larger raw exponent; IMH wins raw ties because it is the
-    # scheme that remains best as alpha grows.
-    return "IMH" if imh_raw >= ish_raw else "ISH"
+def _tree(alpha, beta, gamma, eta):
+    """(exponent, scheme code) of max{min{max{ish_raw, imh_raw}, beta+eta}, 1/2,
+    2-alpha/2} on floats or broadcast arrays, with no domain validation.
+
+    The infrastructure branch (capped or not) is credited to the scheme with
+    the larger raw exponent; exact ties go to the higher SCHEME_CODES code.
+    """
+    alpha, beta, gamma, eta = (np.asarray(v, dtype=float)
+                               for v in (alpha, beta, gamma, eta))
+    ish = _e_ish_raw(alpha, beta, gamma)
+    imh = np.minimum(_e_imh_bg(beta, gamma), _e_imh_half(beta))
+    infra = np.minimum(np.maximum(ish, imh), _e_cap(beta, eta))
+    e = np.maximum(np.maximum(infra, _e_mh()), _e_hc(alpha))
+    scheme = np.where(
+        infra == e,
+        np.where(imh >= ish, SCHEME_CODES["IMH"], SCHEME_CODES["ISH"]),
+        np.where(e == _e_mh(), SCHEME_CODES["MH"], SCHEME_CODES["HC"]),
+    )
+    return e, scheme
 
 
 def achievable_exponent(p: ScalingPoint) -> tuple[float, str]:
     """Best throughput exponent at ``p`` and the scheme achieving it.
 
     The exponent is max{min{max{ish_raw, imh_raw}, beta+eta}, 1/2, 2-alpha/2}.
-    Exact ties are resolved by SCHEME_PRIORITY, so each boundary value
-    belongs to the scheme that is best just above it in alpha.
+    Exact ties are resolved by the SCHEME_CODES priority, so each boundary
+    value belongs to the scheme that is best just above it in alpha.
     """
-    se = scheme_exponents(p)
-    infra_raw = max(se.ish_raw, se.imh_raw)
-    infra = min(infra_raw, se.backhaul_cap)
-    e = max(infra, se.mh, se.hc)
-    if infra == e:
-        scheme = _attribute_infra(se.ish_raw, se.imh_raw)
-    elif se.mh == e:
-        scheme = "MH"
-    else:
-        scheme = "HC"
-    return e, scheme
+    e, code = _tree(p.alpha, p.beta, p.gamma, p.eta)
+    return float(e), tuple(SCHEME_CODES)[code]
 
 
 def upper_bound_exponent(p: ScalingPoint) -> float:
@@ -179,19 +181,7 @@ def upper_bound_exponent(p: ScalingPoint) -> float:
     among already-computed values, so the min/max lattice identity makes
     this equal to achievable_exponent(p) bit-for-bit.
     """
-    se = scheme_exponents(p)
-    adhoc = max(se.mh, se.hc)
-    wireless_cut = max(se.ish_raw, se.imh_raw, adhoc)
-    backhaul_cut = max(se.backhaul_cap, adhoc)
-    return min(wireless_cut, backhaul_cut)
-
-
-def _achievable_unchecked(alpha: float, beta: float, gamma: float, eta: float) -> float:
-    # Same tree as achievable_exponent but without domain validation; used
-    # for the sensitivity probes which may step just outside the domain.
-    infra_raw = max(_e_ish_raw(alpha, beta, gamma),
-                    min(_e_imh_bg(beta, gamma), _e_imh_half(beta)))
-    return max(min(infra_raw, _e_cap(beta, eta)), _e_mh(), _e_hc(alpha))
+    return float(upper_bound_exponent_grid(p.alpha, p.beta, p.gamma, p.eta))
 
 
 # ---------------------------------------------------------------------------
@@ -204,32 +194,18 @@ def achievable_exponent_grid(alpha, beta, gamma, eta):
     No validation is performed; callers are expected to feed valid points.
     Uses the same elementary float expressions as the scalar version.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    ish = 1.0 + gamma - alpha * (1.0 - beta) / 2.0
-    imh = np.minimum(beta + gamma, beta + (1.0 - beta) / 2.0)
-    infra = np.minimum(np.maximum(ish, imh), beta + eta)
-    return np.maximum(np.maximum(infra, 0.5), 2.0 - alpha / 2.0)
+    return _tree(alpha, beta, gamma, eta)[0]
 
 
 def upper_bound_exponent_grid(alpha, beta, gamma, eta):
     """Vectorized cut-set bound, composed as min(wireless cut, backhaul cut)."""
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    ish = 1.0 + gamma - alpha * (1.0 - beta) / 2.0
-    imh = np.minimum(beta + gamma, beta + (1.0 - beta) / 2.0)
-    adhoc = np.maximum(0.5, 2.0 - alpha / 2.0)
-    wireless_cut = np.maximum(np.maximum(ish, imh), adhoc)
-    backhaul_cut = np.maximum(beta + eta, adhoc)
+    alpha, beta, gamma, eta = (np.asarray(v, dtype=float)
+                               for v in (alpha, beta, gamma, eta))
+    imh = np.minimum(_e_imh_bg(beta, gamma), _e_imh_half(beta))
+    adhoc = np.maximum(_e_mh(), _e_hc(alpha))
+    wireless_cut = np.maximum(np.maximum(_e_ish_raw(alpha, beta, gamma), imh), adhoc)
+    backhaul_cut = np.maximum(_e_cap(beta, eta), adhoc)
     return np.minimum(wireless_cut, backhaul_cut)
-
-
-SCHEME_CODES = {"MH": 0, "HC": 1, "ISH": 2, "IMH": 3}
-SCHEME_NAMES = {v: k for k, v in SCHEME_CODES.items()}
 
 
 def best_scheme_grid(alpha, beta, gamma, eta):
@@ -238,22 +214,7 @@ def best_scheme_grid(alpha, beta, gamma, eta):
     Scheme codes follow SCHEME_CODES.  Used by regime sweeps where calling
     the scalar function per point would be too slow.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    ish = 1.0 + gamma - alpha * (1.0 - beta) / 2.0
-    imh = np.minimum(beta + gamma, beta + (1.0 - beta) / 2.0)
-    infra = np.minimum(np.maximum(ish, imh), beta + eta)
-    hc = 2.0 - alpha / 2.0
-    e = np.maximum(np.maximum(infra, 0.5), hc)
-    infra_scheme = np.where(imh >= ish, SCHEME_CODES["IMH"], SCHEME_CODES["ISH"])
-    scheme = np.where(
-        infra == e,
-        infra_scheme,
-        np.where(e == 0.5, SCHEME_CODES["MH"], SCHEME_CODES["HC"]),
-    )
-    return e, scheme
+    return _tree(alpha, beta, gamma, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +307,9 @@ class AlphaInterval:
         }
 
 
-def _interval(lo, hi, scheme, formula, fn) -> AlphaInterval:
-    return AlphaInterval(lo, hi, scheme, formula, _eval=fn)
-
-
 def _breakpoints(label: str, beta: float, gamma: float, eta: float) -> tuple[AlphaInterval, ...]:
     """Piecewise best-scheme segments of (2, inf) for a resolved label."""
-    hc = lambda a: _e_hc(a)
+    hc = _e_hc
     mh = lambda a: _e_mh()
     imh = lambda a: min(_e_imh_bg(beta, gamma), _e_imh_half(beta))
     ish = lambda a: _e_ish_raw(a, beta, gamma)
@@ -402,7 +359,7 @@ def _breakpoints(label: str, beta: float, gamma: float, eta: float) -> tuple[Alp
     for k, (lo, hi, scheme, formula, fn) in enumerate(kept):
         if k + 1 < len(kept):
             hi = kept[k + 1][0]
-        out.append(_interval(lo, hi, scheme, formula, fn))
+        out.append(AlphaInterval(lo, hi, scheme, formula, fn))
     return tuple(out)
 
 
@@ -452,9 +409,8 @@ def classify_regime_3d(beta: float, gamma: float, eta: float,
     if math.isnan(eta):
         raise InvalidPointError("eta must be a real number or +-inf, got nan")
     label3d = _label_3d(beta, gamma, eta)
-    label2d = classify_regime_2d(beta, gamma)
     report = RegimeReport(
-        label2d=label2d,
+        label2d=classify_regime_2d(beta, gamma),
         label3d=label3d,
         alpha_breakpoints=_breakpoints(label3d, beta, gamma, eta),
     )
@@ -463,15 +419,8 @@ def classify_regime_3d(beta: float, gamma: float, eta: float,
     p = ScalingPoint(alpha, beta, gamma, eta)
     e, scheme = achievable_exponent(p)
     flags = limitation_flags(p)
-    return RegimeReport(
-        label2d=label2d,
-        label3d=label3d,
-        alpha_breakpoints=report.alpha_breakpoints,
-        best_scheme=scheme,
-        exponent=e,
-        dof_limited=flags.dof_limited,
-        infra_limited=flags.infra_limited,
-    )
+    return replace(report, best_scheme=scheme, exponent=e,
+                   dof_limited=flags.dof_limited, infra_limited=flags.infra_limited)
 
 
 # ---------------------------------------------------------------------------
@@ -516,13 +465,13 @@ def limitation_flags(p: ScalingPoint) -> LimitationFlags:
     """
     e, scheme = achievable_exponent(p)
     e_inf, _ = achievable_exponent(p.with_eta(INF))
-    infra_limited = e < e_inf
-    dof_limited = False
-    if scheme in ("ISH", "IMH"):
-        up_beta = _achievable_unchecked(p.alpha, p.beta + SENSITIVITY_DELTA, p.gamma, p.eta)
-        up_gamma = _achievable_unchecked(p.alpha, p.beta, p.gamma + SENSITIVITY_DELTA, p.eta)
-        dof_limited = up_beta > e or up_gamma > e
-    return LimitationFlags(dof_limited=dof_limited, infra_limited=infra_limited)
+    # one probe per axis: beta + delta, then gamma + delta
+    up, _ = _tree(p.alpha, p.beta + np.array([SENSITIVITY_DELTA, 0.0]),
+                  p.gamma + np.array([0.0, SENSITIVITY_DELTA]), p.eta)
+    return LimitationFlags(
+        dof_limited=scheme in ("ISH", "IMH") and bool(np.any(up > e)),
+        infra_limited=e < e_inf,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,13 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hybridscale import cli
 from hybridscale.channel import ChannelRealization
 from hybridscale.cutset import bound_l1, bound_l2
-from hybridscale.protocols import SimConfig
+from hybridscale.protocols import SimConfig, SimResult
 from hybridscale.scaling import min_backhaul_exponent
 from hybridscale.topology import TopologyConfig, generate_topology
 
@@ -207,3 +208,47 @@ def test_bound_matches_library(tmp_path):
     for cut, b in want.items():
         assert float(by_cut[cut][11]) == b.total
     assert float(by_cut["MIN"][11]) == min(b.total for b in want.values())
+
+
+_SIM_POINT = ["simulate", "--sizes", "256", "--seeds", "0", "--alpha", "3",
+              "--beta", "0", "--gamma", "0", "--eta=inf", "--schemes", "MH"]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("sizes", "55"), ("schemes", "MH"), ("seeds", 0), ("sizes", "abc"),
+     ("alpha", "x")],
+)
+def test_config_value_must_match_its_flag(tmp_path, capsys, key, value):
+    cfg = {"schema_version": 1, "sizes": [256], "alpha": 3.0, "beta": 0.0,
+           "gamma": 0.0, "eta": 0.0, "seeds": [0], "schemes": ["MH"]}
+    cfg[key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["--config", str(path), "simulate",
+                     "-o", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key {key} ") and err.count("\n") == 1
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_unwritable_output_is_one_line_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert cli.main([*_SIM_POINT, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
+
+
+def test_cut_violation_exits_3_and_names_the_row(tmp_path, capsys, monkeypatch):
+    def too_fast(topo, ch, cfg):
+        return SimResult("MH", 1e9, np.full(topo.n, 1e9 / topo.n))
+
+    monkeypatch.setitem(cli._RUNNERS, "MH", too_fast)
+    out = tmp_path / "v.csv"
+    assert cli.main([*_SIM_POINT, "-o", str(out)]) == 3
+    _, rows = _csv_rows(out)
+    assert [r[0] for r in rows] == ["MH", "MIN_CUT"]
+    assert float(rows[0][7]) == 1e9
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"MH n=256 seed=0 aggregate=1000000000.0 cut={rows[1][7]}" in err

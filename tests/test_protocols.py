@@ -9,6 +9,7 @@ import pytest
 
 from hybridscale.channel import ChannelRealization
 from hybridscale.protocols import (
+    RUNNERS,
     EmptyRoutingCellError,
     SimConfig,
     best_of_schemes,
@@ -467,3 +468,13 @@ def test_fit_coverage_on_synthetic_noise():
         slope, stderr = fit_scaling_exponent(list(zip(ns, y)))
         hits += abs(slope - 0.7) <= 2.0 * stderr
     assert hits >= 950
+
+
+def test_best_of_schemes_breaks_exact_ties_by_priority():
+    # at zero power every scheme delivers nothing; the tie goes to IMH, the
+    # highest SCHEME_CODES priority, as in the exponent oracle
+    topo = generate_topology(TopologyConfig(n=256, m=16, l=2, seed=0))
+    ch = ChannelRealization(topo, alpha=3.0, phase_seed=0)
+    cfg = SimConfig(p=0.0)
+    assert [run(topo, ch, cfg).aggregate_throughput for run in RUNNERS.values()] == [0.0] * 4
+    assert best_of_schemes(topo, ch, cfg)[0] == "IMH"
