@@ -1,7 +1,8 @@
 """Golden outputs: the CLI reproduces committed output files byte for byte.
 
 The files under ``tests/golden/`` pin the exact bytes of ``simulate`` (all
-four schemes) and ``bound`` at small sizes, and of the analytic subcommands
+four schemes, R_BS = 0 and R_BS = inf with 16 BSs among them) and ``bound``
+at small sizes, and of the analytic subcommands
 ``regime-map``, ``min-backhaul`` and ``exponent`` (text and JSON).  A kernel
 rewrite that changes a single floating-point rounding anywhere in MH, HC,
 IMH, ISH, the cut-set bounds or the exponent formulas fails here.
@@ -31,6 +32,11 @@ CASES = {
         "--alpha", "3", "--beta", "0.3", "--gamma", "0.3", "--eta", "0.2",
         "--tdma-k", "4",
     ],
+    # m = 16 BSs with no backhaul and with an unlimited one
+    **{f"simulate_a3_b0.5_g0.25_eta{eta}.csv": [
+        "simulate", *_SIZES_SEEDS,
+        "--alpha", "3", "--beta", "0.5", "--gamma", "0.25", f"--eta={eta}",
+    ] for eta in ("-inf", "inf")},
     "bound_a3_b0.3_g0.3_eta0.2.csv": [
         "bound", *_SIZES_SEEDS,
         "--alpha", "3", "--beta", "0.3", "--gamma", "0.3", "--eta", "0.2",
