@@ -39,14 +39,22 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U(31))
 
 
-def _phase(seed: int, kind: np.uint64, a, b, t=None) -> np.ndarray:
-    """Uniform [0, 2pi) phase keyed by (seed, kind, a, b[, t])."""
+def _hash(seed: int, kind: np.uint64, *keys) -> np.ndarray:
+    """uint64 hash of (seed, kind, *keys), one ``_mix64`` per key; keys broadcast."""
     h = _mix64(_U(seed & 0xFFFFFFFFFFFFFFFF) ^ kind)
-    h = _mix64(h + np.asarray(a, dtype=_U))
-    h = _mix64(h + np.asarray(b, dtype=_U))
-    if t is not None:
-        h = _mix64(h + np.asarray(t, dtype=_U))
-    return (h >> _U(11)).astype(float) * (_INV_2_53 * _TWO_PI)
+    for key in keys:
+        h = _mix64(h + np.asarray(key, dtype=_U))
+    return h
+
+
+def _phase(seed: int, kind: np.uint64, *keys) -> np.ndarray:
+    """Uniform [0, 2pi) phase keyed by (seed, kind, *keys)."""
+    return (_hash(seed, kind, *keys) >> _U(11)).astype(float) * (_INV_2_53 * _TWO_PI)
+
+
+def _distances(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(len(rows), len(cols)) Euclidean distances between two point sets."""
+    return np.linalg.norm(rows[:, None, :] - cols[None, :, :], axis=-1)
 
 
 def _check_distances(r: np.ndarray) -> np.ndarray:
@@ -87,8 +95,7 @@ class ChannelRealization:
         tx = np.asarray(tx, dtype=np.int64)
         rx = np.asarray(rx, dtype=np.int64)
         pos = self.topology.node_positions
-        diff = pos[rx][:, None, :] - pos[tx][None, :, :]
-        r = _check_distances(np.linalg.norm(diff, axis=-1))
+        r = _check_distances(_distances(pos[rx], pos[tx]))
         theta = _phase(self.phase_seed, _KIND_NODE, tx[None, :], rx[:, None])
         return np.exp(1j * theta) * r ** (-self.alpha / 2.0)
 
@@ -100,11 +107,7 @@ class ChannelRealization:
 
     def uplink_matrix(self, bs: int, nodes: np.ndarray) -> np.ndarray:
         """(l, N) matrix; column j is the uplink vector of nodes[j]."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        r = self.antenna_distances(bs, nodes)              # (N, l)
-        t = np.arange(self.topology.l, dtype=np.int64)
-        theta = _phase(self.phase_seed, _KIND_UPLINK, nodes[:, None], bs, t[None, :])
-        return (np.exp(1j * theta) * r ** (-self.alpha / 2.0)).T
+        return self._link(_KIND_UPLINK, bs, nodes).T
 
     def downlink_vector(self, bs: int, i: int) -> np.ndarray:
         """Length-l downlink row vector from BS ``bs`` to node i."""
@@ -112,12 +115,14 @@ class ChannelRealization:
 
     def downlink_matrix(self, bs: int, nodes: np.ndarray) -> np.ndarray:
         """(N, l) matrix; row j is the downlink row vector to nodes[j]."""
+        return self._link(_KIND_DOWNLINK, bs, nodes)
+
+    def _link(self, kind: np.uint64, bs: int, nodes: np.ndarray) -> np.ndarray:
+        """(N, l) gains between nodes and the antennas of BS ``bs``, phases by kind."""
         nodes = np.asarray(nodes, dtype=np.int64)
         r = self.antenna_distances(bs, nodes)
         t = np.arange(self.topology.l, dtype=np.int64)
-        theta = _phase(
-            self.phase_seed, _KIND_DOWNLINK, nodes[:, None], bs, t[None, :]
-        )
+        theta = _phase(self.phase_seed, kind, nodes[:, None], bs, t[None, :])
         return np.exp(1j * theta) * r ** (-self.alpha / 2.0)
 
     # -- distance/magnitude helpers (no phases) -----------------------------
@@ -126,5 +131,4 @@ class ChannelRealization:
         """(N, l) distances from each node to each antenna of BS ``bs``."""
         ant = self.topology.antenna_positions[bs]          # (l, 2)
         pos = self.topology.node_positions[np.asarray(nodes, dtype=np.int64)]
-        diff = pos[:, None, :] - ant[None, :, :]
-        return _check_distances(np.linalg.norm(diff, axis=-1))
+        return _check_distances(_distances(pos, ant))

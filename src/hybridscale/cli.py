@@ -190,13 +190,17 @@ def _emit(opts: dict, header: dict, columns, rows, trailers, extra: dict) -> Non
         text = "\n".join(lines) + "\n"
     out = opts.get("output")
     if out:
-        try:
-            with open(out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {out}: {exc}") from exc
+        with _open_output(out, "w") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _open_output(path: str, mode: str):
+    try:
+        return open(path, mode, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _point(opts: dict) -> ScalingPoint:
@@ -310,25 +314,36 @@ def _sim_defaults() -> dict:
     }
 
 
-def _instance(n: int, seed: int, p: ScalingPoint, opts: dict):
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            fm = map_finite_n(n, p)
-        cfg = SimConfig(p=opts["power"], r_bs=fm.r_bs,
-                        **{k: opts[k] for k in _SIM_KNOBS if k in opts})
-    except ValueError as exc:  # n < 4, tdma_k not a perfect square, bad power
-        raise ConfigError(str(exc)) from exc
-    topo = generate_topology(TopologyConfig(n=n, m=fm.m, l=fm.l, seed=seed))
-    ch = ChannelRealization(topo, alpha=p.alpha, phase_seed=seed)
-    return fm, topo, ch, cfg
+def _instances(opts: dict, p: ScalingPoint, seeds: list[int]):
+    """(n, seed, fm, topo, ch, cfg, L1 bound, L2 bound) of each run instance."""
+    if opts["output"]:  # an unwritable -o fails before any Monte Carlo
+        _open_output(opts["output"], "a").close()
+    for n in opts["sizes"]:
+        for seed in seeds:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    fm = map_finite_n(n, p)
+                cfg = SimConfig(p=opts["power"], r_bs=fm.r_bs,
+                                **{k: opts[k] for k in _SIM_KNOBS if k in opts})
+            except ValueError as exc:  # n < 4, tdma_k not a perfect square, bad power
+                raise ConfigError(str(exc)) from exc
+            topo = generate_topology(TopologyConfig(n=n, m=fm.m, l=fm.l, seed=seed))
+            ch = ChannelRealization(topo, alpha=p.alpha, phase_seed=seed)
+            yield (n, seed, fm, topo, ch, cfg,
+                   bound_l1(topo, ch, cfg), bound_l2(topo, ch, cfg))
+
+
+def _run_header(command: str, p: ScalingPoint, opts: dict, seeds: list[int]) -> dict:
+    return {"command": command, "alpha": p.alpha, "beta": p.beta, "gamma": p.gamma,
+            "eta": p.eta, "power": opts["power"],
+            "sizes": " ".join(map(str, opts["sizes"])), "seeds": " ".join(map(str, seeds))}
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     opts = _effective(args, {**_sim_defaults(), "schemes": list(_RUNNERS),
                              **{k: getattr(SimConfig, k) for k in _SIM_KNOBS}})
     seeds = _resolve_seeds(opts)
-    sizes = opts["sizes"]
     schemes = [s.upper() for s in opts["schemes"]]
     bad = [s for s in schemes if s not in _RUNNERS]
     if bad or not schemes:
@@ -339,28 +354,25 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     rows = []
     agg: dict[str, dict[int, list[float]]] = {s: {} for s in schemes}
     violations = []
-    for n in sizes:
-        for seed in seeds:
-            fm, topo, ch, cfg = _instance(n, seed, p, opts)
-            cut = min(bound_l1(topo, ch, cfg).total,
-                      bound_l2(topo, ch, cfg).total)
-            for scheme in schemes:
-                res = _RUNNERS[scheme](topo, ch, cfg)
-                stages = res.stage_rates
-                rows.append([
-                    scheme, n, fm.m, fm.l, fm.r_bs, p.alpha, seed,
-                    res.aggregate_throughput,
-                    stages.access if stages else None,
-                    stages.backhaul if stages else None,
-                    stages.exit if stages else None,
-                ])
-                agg[scheme].setdefault(n, []).append(res.aggregate_throughput)
-                if res.aggregate_throughput > cut + 1e-9:
-                    violations.append(
-                        f"{scheme} n={n} seed={seed} "
-                        f"aggregate={_fmt(res.aggregate_throughput)} cut={_fmt(cut)}")
-            rows.append(["MIN_CUT", n, fm.m, fm.l, fm.r_bs, p.alpha, seed,
-                         cut, None, None, None])
+    for n, seed, fm, topo, ch, cfg, b1, b2 in _instances(opts, p, seeds):
+        cut = min(b1.total, b2.total)
+        for scheme in schemes:
+            res = _RUNNERS[scheme](topo, ch, cfg)
+            stages = res.stage_rates
+            rows.append([
+                scheme, n, fm.m, fm.l, fm.r_bs, p.alpha, seed,
+                res.aggregate_throughput,
+                stages.access if stages else None,
+                stages.backhaul if stages else None,
+                stages.exit if stages else None,
+            ])
+            agg[scheme].setdefault(n, []).append(res.aggregate_throughput)
+            if res.aggregate_throughput > cut + 1e-9:
+                violations.append(
+                    f"{scheme} n={n} seed={seed} "
+                    f"aggregate={_fmt(res.aggregate_throughput)} cut={_fmt(cut)}")
+        rows.append(["MIN_CUT", n, fm.m, fm.l, fm.r_bs, p.alpha, seed,
+                     cut, None, None, None])
 
     slopes = {}
     for scheme in schemes:
@@ -374,14 +386,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         for s in sorted(slopes)
     ]
 
-    header = {
-        "command": "simulate",
-        "alpha": p.alpha, "beta": p.beta, "gamma": p.gamma, "eta": p.eta,
-        "sizes": " ".join(str(n) for n in sizes),
-        "seeds": " ".join(str(s) for s in seeds),
-        "schemes": " ".join(schemes),
-        **{k: opts[k] for k in ("power", *_SIM_KNOBS)},
-    }
+    header = {**_run_header("simulate", p, opts, seeds),
+              "schemes": " ".join(schemes), **{k: opts[k] for k in _SIM_KNOBS}}
     _emit(opts, header, SIM_COLUMNS, rows, trailers, {"slopes": slopes})
     if violations:
         print(f"invariant violation: {len(violations)} row(s) exceed the cut-set "
@@ -393,29 +399,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_bound(args: argparse.Namespace) -> int:
     opts = _effective(args, _sim_defaults())
     seeds = _resolve_seeds(opts)
-    sizes = opts["sizes"]
     p = _point(opts)
     rows = []
-    for n in sizes:
-        for seed in seeds:
-            fm, topo, ch, cfg = _instance(n, seed, p, opts)
-            b1 = bound_l1(topo, ch, cfg)
-            b2 = bound_l2(topo, ch, cfg)
-            base = [n, fm.m, fm.l, fm.r_bs, p.alpha, seed]
-            for b in (b1, b2):
-                rows.append(base + [b.cut, b.wireless_terms["D1"],
-                                    b.wireless_terms["D2"], b.wireless_terms["D3"],
-                                    b.wired_term, b.total])
-            rows.append(base + ["MIN", None, None, None, None,
-                                min(b1.total, b2.total)])
-    header = {
-        "command": "bound",
-        "alpha": p.alpha, "beta": p.beta, "gamma": p.gamma, "eta": p.eta,
-        "sizes": " ".join(str(n) for n in sizes),
-        "seeds": " ".join(str(s) for s in seeds),
-        "power": opts["power"],
-    }
-    _emit(opts, header, BOUND_COLUMNS, rows, [], {})
+    for n, seed, fm, _, _, _, b1, b2 in _instances(opts, p, seeds):
+        base = [n, fm.m, fm.l, fm.r_bs, p.alpha, seed]
+        for b in (b1, b2):
+            rows.append(base + [b.cut, b.wireless_terms["D1"],
+                                b.wireless_terms["D2"], b.wireless_terms["D3"],
+                                b.wired_term, b.total])
+        rows.append(base + ["MIN", None, None, None, None, min(b1.total, b2.total)])
+    _emit(opts, _run_header("bound", p, opts, seeds), BOUND_COLUMNS, rows, [], {})
     return 0
 
 

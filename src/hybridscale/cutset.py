@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, _check_distances
+from .channel import ChannelRealization, _check_distances, _distances
 from .protocols import SimConfig
 from .topology import Topology
 
@@ -75,8 +75,7 @@ def _miso_bits(
     """Per-destination log2(1 + (sum_i amp_i * r_i^(-alpha/2))^2)."""
     if len(dest_pos) == 0 or len(src_pos) == 0:
         return np.zeros(len(dest_pos))
-    diff = dest_pos[:, None, :] - src_pos[None, :, :]
-    r = _check_distances(np.linalg.norm(diff, axis=-1))
+    r = _check_distances(_distances(dest_pos, src_pos))
     amp = (src_amp[None, :] * r ** (-alpha / 2.0)).sum(axis=1)
     return np.log2(1.0 + amp * amp)
 

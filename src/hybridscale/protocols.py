@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, _U, _mix64
+from .channel import ChannelRealization, _U, _distances, _hash
 from .scaling import SCHEME_CODES
-from .topology import Topology
+from .topology import Topology, grid_cell
 
 _KIND_RELAY = _U(4)
 _KIND_REP = _U(5)
@@ -128,11 +128,8 @@ def routing_grid_size(n: int) -> int:
 
 
 def _hash_index(seed: int, kind: np.uint64, a, b, count) -> np.ndarray:
-    """Keyed index in [0, count) for each (a, b); the idiom of ``channel._phase``."""
-    h = _mix64(_U(seed & 0xFFFFFFFFFFFFFFFF) ^ kind)
-    h = _mix64(h + np.asarray(a, dtype=_U))
-    h = _mix64(h + np.asarray(b, dtype=_U))
-    return (h % np.asarray(count, dtype=_U)).astype(np.int64)
+    """Keyed index in [0, count) for each (a, b)."""
+    return (_hash(seed, kind, a, b) % np.asarray(count, dtype=_U)).astype(np.int64)
 
 
 class _RoutingGrid:
@@ -155,7 +152,7 @@ class _RoutingGrid:
         self.first = np.cumsum(self.count) - self.count
 
     def cell_ij(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ij = np.clip((points / self.cell_side).astype(np.int64), 0, self.g - 1)
+        ij = grid_cell(points, self.cell_side, self.g)
         return ij[:, 0], ij[:, 1]
 
 
@@ -279,22 +276,35 @@ def simulate_mh(
 # IMH
 # ---------------------------------------------------------------------------
 
-def _wired_share(r_bs: float, counts: np.ndarray) -> np.ndarray:
-    """Equal split of one wired link among ``counts`` flows (inf-safe)."""
-    if math.isinf(r_bs):
-        return np.full(counts.shape, math.inf)
-    with np.errstate(divide="ignore"):
-        return np.where(counts > 0, r_bs / np.maximum(counts, 1.0), math.inf)
+def _infra_result(scheme: str, topo: Topology, r_bs: float, up: np.ndarray,
+                  down: np.ndarray, down_total: float) -> SimResult:
+    """The wired stage shared by IMH and ISH, ending either scheme's result.
+
+    Flow f gets min(up[f], its equal split of R_BS at its source's BS and at
+    its destination's BS, down[f]).  The backhaul stage reports
+    sum_b min(access demand at b, R_BS) <= m * R_BS.
+    """
+    home = topo.cell_index_of(topo.node_positions)
+
+    def share(bs):  # equal split of each BS's wired link among its flows
+        return (r_bs / np.maximum(np.bincount(bs, minlength=topo.m), 1.0))[bs]
+
+    wired = np.minimum(share(home), share(home[topo.sd_pairing]))
+    demand = np.zeros(topo.m)
+    np.add.at(demand, home, up)
+    stages = StageRates(access=float(up.sum()),
+                        backhaul=float(np.minimum(demand, r_bs).sum()),
+                        exit=float(down_total))
+    return _result(scheme, np.minimum(np.minimum(up, wired), down), stages)
 
 
 def simulate_imh(topo: Topology, ch: ChannelRealization, cfg: SimConfig) -> SimResult:
     """Multihop access to the home BS, wired relay, multihop exit.
 
     Per-flow rate is the minimum of its access share, its equal split of the
-    two wired links it crosses, and its exit share.  The backhaul stage
-    reports sum_b min(access demand at b, R_BS) <= m * R_BS.
+    two wired links it crosses, and its exit share.
     """
-    n, m = topo.n, topo.m
+    n = topo.n
     grid = _RoutingGrid(topo)
     pos = topo.node_positions
     home = topo.cell_index_of(pos)          # BS cell of each node
@@ -310,22 +320,7 @@ def simulate_imh(topo: Topology, ch: ChannelRealization, cfg: SimConfig) -> SimR
     exit_ = _multihop_shares(
         grid, cfg, ch.alpha, n + dst, 3 * n + home[dst], ant[dst], pos[dst], par
     )
-
-    cnt_up = np.bincount(home, minlength=m).astype(float)
-    cnt_down = np.bincount(home[dst], minlength=m).astype(float)
-    wired = np.minimum(
-        _wired_share(cfg.r_bs, cnt_up)[home],
-        _wired_share(cfg.r_bs, cnt_down)[home[dst]],
-    )
-
-    per_pair = np.minimum(np.minimum(access, wired), exit_)
-    demand = np.zeros(m)
-    np.add.at(demand, home, access)
-    backhaul_stage = float(np.minimum(demand, cfg.r_bs).sum())
-    stages = StageRates(
-        access=float(access.sum()), backhaul=backhaul_stage, exit=float(exit_.sum())
-    )
-    return _result("IMH", per_pair, stages)
+    return _infra_result("IMH", topo, cfg.r_bs, access, exit_, exit_.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -370,38 +365,27 @@ def simulate_ish(topo: Topology, ch: ChannelRealization, cfg: SimConfig) -> SimR
     bs_power = n * p / m
 
     members = [np.nonzero(home == b)[0] for b in range(m)]
+    r_up, r_down = np.zeros(n), np.zeros(n)
 
-    # distance-based interference terms shared by both directions
-    r_up = np.zeros(n)
-    r_down = np.zeros(n)
-
-    # downlink noise boost: power received from every foreign BS
-    nu = np.ones(n)
-    per_antenna = bs_power / l
+    # downlink noise boost: power received from every foreign BS, summed
+    # over all BSs before each node's own BS is taken out again
+    nu, own_term = np.ones(n), np.empty(n)
     all_nodes = np.arange(n)
     for b in range(m):
         dists = ch.antenna_distances(b, all_nodes)         # (n, l)
-        nu += per_antenna * np.sum(dists ** (-ch.alpha), axis=1)
-    for b in range(m):
-        own = members[b]
-        if own.size == 0:
-            continue
-        dists = ch.antenna_distances(b, own)
-        nu[own] -= per_antenna * np.sum(dists ** (-ch.alpha), axis=1)
+        term = (bs_power / l) * np.sum(dists ** (-ch.alpha), axis=1)
+        nu += term
+        own_term[members[b]] = term[members[b]]
+    nu -= own_term
 
     for b in range(m):
         own = members[b]
         if own.size == 0:
             continue
-        outside = np.nonzero(home != b)[0]
-        h_own = ch.uplink_matrix(b, own)                   # (l, k)
-        if outside.size:
-            h_out = ch.uplink_matrix(b, outside)           # (l, n-k)
-            noise = np.eye(l) + p * (h_out @ h_out.conj().T)
-        else:
-            noise = np.eye(l, dtype=complex)
-        noise_inv = np.linalg.inv(noise)
-        r_up[own] = _sic_rates(h_own, noise_inv, p)
+        h = ch.uplink_matrix(b, all_nodes).T               # (n, l)
+        h_out = h[home != b].T                             # (l, n-k)
+        noise = np.eye(l) + p * (h_out @ h_out.conj().T)
+        r_up[own] = _sic_rates(h[own].T, np.linalg.inv(noise), p)
 
         # downlink by duality: equal dual powers, per-user noise nu folded
         # into scaled channels, unit effective noise at the BS side
@@ -410,19 +394,7 @@ def simulate_ish(topo: Topology, ch: ChannelRealization, cfg: SimConfig) -> SimR
         q = bs_power / own.size
         r_down[own] = _sic_rates(g_tilde, np.eye(l, dtype=complex), q)
 
-    cnt = np.bincount(home, minlength=m).astype(float)
-    share = _wired_share(cfg.r_bs, cnt)
-    wired = np.minimum(share[home], share[home[dst]])
-
-    per_pair = np.minimum(np.minimum(r_up, wired), r_down[dst])
-    demand = np.zeros(m)
-    np.add.at(demand, home, r_up)
-    stages = StageRates(
-        access=float(r_up.sum()),
-        backhaul=float(np.minimum(demand, cfg.r_bs).sum()),
-        exit=float(r_down.sum()),
-    )
-    return _result("ISH", per_pair, stages)
+    return _infra_result("ISH", topo, cfg.r_bs, r_up, r_down[dst], r_down.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +414,7 @@ def hc_long_range_rate(
 
 def _cluster_nn_rate(pos: np.ndarray, members: np.ndarray, p: float, alpha: float) -> float:
     """Worst nearest-neighbor rate inside one cluster."""
-    pts = pos[members]
-    diff = pts[:, None, :] - pts[None, :, :]
-    d = np.linalg.norm(diff, axis=-1)
+    d = _distances(pos[members], pos[members])
     np.fill_diagonal(d, math.inf)
     dnn = d.min(axis=1)
     return float(np.min(np.log2(1.0 + p * dnn ** (-alpha))))
@@ -466,31 +436,27 @@ def estimate_hc_single_level(
     if m_target > n:
         raise ValueError(f"cluster size {m_target} exceeds n={n}")
     cg = max(1, round(math.sqrt(n / m_target)))
-    side = topo.config.side / cg
     pos = topo.node_positions
-    ij = np.clip((pos / side).astype(np.int64), 0, cg - 1)
+    ij = grid_cell(pos, topo.config.side / cg, cg)
     cluster = ij[:, 0] + cg * ij[:, 1]
     dst = topo.sd_pairing
 
-    members = {}
-    for c in np.unique(cluster):
-        members[int(c)] = np.nonzero(cluster == c)[0]
+    members = {int(c): np.nonzero(cluster == c)[0] for c in np.unique(cluster)}
     nn_rate = {
         c: _cluster_nn_rate(pos, mem, cfg.p, ch.alpha) if mem.size >= 2 else math.inf
         for c, mem in members.items()
     }
 
-    flows_by_pair: dict[tuple[int, int], int] = {}
-    for i in range(n):
-        key = (int(cluster[i]), int(cluster[dst[i]]))
-        flows_by_pair[key] = flows_by_pair.get(key, 0) + 1
+    # flows per ordered cluster pair (a, b), keyed a * cg^2 + b in sorted order
+    pairs, flows = np.unique(cluster * (cg * cg) + cluster[dst], return_counts=True)
 
     def slot_time(bits: float, rate: float) -> float:
         return bits / rate if rate > 0.0 else math.inf
 
     total_time = 0.0
     q = float(cfg.hc_quant_bits)
-    for (ca, cb), f in sorted(flows_by_pair.items()):
+    for key, f in zip(pairs.tolist(), flows.tolist()):
+        ca, cb = divmod(key, cg * cg)
         mem_a, mem_b = members[ca], members[cb]
         r_a = nn_rate[ca]
         if ca == cb:

@@ -416,9 +416,7 @@ def classify_regime_3d(beta: float, gamma: float, eta: float,
     )
     if alpha is None:
         return report
-    p = ScalingPoint(alpha, beta, gamma, eta)
-    e, scheme = achievable_exponent(p)
-    flags = limitation_flags(p)
+    e, scheme, flags = _exponent_and_flags(ScalingPoint(alpha, beta, gamma, eta))
     return replace(report, best_scheme=scheme, exponent=e,
                    dof_limited=flags.dof_limited, infra_limited=flags.infra_limited)
 
@@ -463,14 +461,20 @@ def limitation_flags(p: ScalingPoint) -> LimitationFlags:
     up by SENSITIVITY_DELTA strictly raises the exponent (the probe skips
     validation, so points on the domain edge still get a well-defined flag).
     """
-    e, scheme = achievable_exponent(p)
-    e_inf, _ = achievable_exponent(p.with_eta(INF))
-    # one probe per axis: beta + delta, then gamma + delta
-    up, _ = _tree(p.alpha, p.beta + np.array([SENSITIVITY_DELTA, 0.0]),
-                  p.gamma + np.array([0.0, SENSITIVITY_DELTA]), p.eta)
-    return LimitationFlags(
-        dof_limited=scheme in ("ISH", "IMH") and bool(np.any(up > e)),
-        infra_limited=e < e_inf,
+    return _exponent_and_flags(p)[2]
+
+
+def _exponent_and_flags(p: ScalingPoint) -> tuple[float, str, LimitationFlags]:
+    """Exponent, best scheme and flags at ``p`` from one ``_tree`` call over
+    four points: ``p`` itself, eta = inf, beta + delta and gamma + delta."""
+    d = SENSITIVITY_DELTA
+    e, code = _tree(p.alpha, p.beta + np.array([0.0, 0.0, d, 0.0]),
+                    p.gamma + np.array([0.0, 0.0, 0.0, d]),
+                    np.array([p.eta, INF, p.eta, p.eta]))
+    scheme = tuple(SCHEME_CODES)[code[0]]
+    return float(e[0]), scheme, LimitationFlags(
+        dof_limited=scheme in ("ISH", "IMH") and bool(np.any(e[2:] > e[0])),
+        infra_limited=bool(e[0] < e[1]),
     )
 
 

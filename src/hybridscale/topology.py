@@ -26,6 +26,11 @@ class InfeasibleGeometryError(ValueError):
     """The requested BS layout cannot fit the network square."""
 
 
+def grid_cell(points: np.ndarray, cell_side: float, g: int) -> np.ndarray:
+    """(i, j) cell of each point on a g x g grid of squares of side ``cell_side``."""
+    return np.clip((points / cell_side).astype(np.int64), 0, g - 1)
+
+
 # ---------------------------------------------------------------------------
 # Configuration and instance types
 # ---------------------------------------------------------------------------
@@ -113,7 +118,7 @@ class Topology:
         """Cell id (row-major on the BS grid) containing each point."""
         points = np.atleast_2d(points)
         g = math.isqrt(self.m)
-        ij = np.clip((points / self.config.cell_side).astype(np.int64), 0, g - 1)
+        ij = grid_cell(points, self.config.cell_side, g)
         return ij[:, 0] + g * ij[:, 1]
 
     # -- serialization ------------------------------------------------------
@@ -195,10 +200,8 @@ def _boundary_ring(center: np.ndarray, half: float, count: int) -> np.ndarray:
 def _inside_any_footprint(pts: np.ndarray, cfg: TopologyConfig, half: float) -> np.ndarray:
     # Footprints are centered in their cells and no wider than half a cell,
     # so a point can only collide with the footprint of its own cell.
-    g = math.isqrt(cfg.m)
     s = cfg.cell_side
-    ij = np.clip((pts / s).astype(np.int64), 0, g - 1)
-    centers = (ij + 0.5) * s
+    centers = (grid_cell(pts, s, math.isqrt(cfg.m)) + 0.5) * s
     cheb = np.abs(pts - centers).max(axis=1)
     return cheb < half
 
@@ -213,8 +216,6 @@ def generate_topology(cfg: TopologyConfig) -> Topology:
     side = cfg.side
     half = _footprint_side(cfg) / 2.0
     centers = _grid_centers(cfg)
-    if _footprint_side(cfg) > cfg.cell_side + 1e-12:
-        raise InfeasibleGeometryError("BS footprint exceeds its cell")
 
     pts = rng.uniform(0.0, side, size=(cfg.n, 2))
     bad = _inside_any_footprint(pts, cfg, half)
@@ -277,7 +278,7 @@ def min_pairwise_distance(t: Topology) -> float:
 def max_nodes_unit_square(t: Topology) -> int:
     """Largest node count over the unit squares tiling the network."""
     w = math.ceil(t.config.side)
-    ij = np.clip(t.node_positions.astype(np.int64), 0, w - 1)
+    ij = grid_cell(t.node_positions, 1.0, w)
     flat = ij[:, 0] + w * ij[:, 1]
     return int(np.bincount(flat, minlength=w * w).max())
 

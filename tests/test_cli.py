@@ -239,6 +239,24 @@ def test_unwritable_output_is_one_line_error(tmp_path, capsys):
     assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["simulate", "bound"])
+def test_unwritable_output_fails_before_any_instance(command, tmp_path, capsys,
+                                                     monkeypatch):
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("an instance was built")
+
+    monkeypatch.setitem(cli._RUNNERS, "MH", record)
+    monkeypatch.setattr(cli, "generate_topology", record)
+    out = tmp_path / "missing" / "x.csv"
+    assert cli.main([command, *_SIM_POINT[1:-2], "-o", str(out)]) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
+
+
 def test_cut_violation_exits_3_and_names_the_row(tmp_path, capsys, monkeypatch):
     def too_fast(topo, ch, cfg):
         return SimResult("MH", 1e9, np.full(topo.n, 1e9 / topo.n))
