@@ -2,7 +2,8 @@
 
 The files under ``tests/golden/`` pin the exact bytes of ``simulate`` (all
 four schemes, R_BS = 0 and R_BS = inf with 16 BSs among them) and ``bound``
-at small sizes, and of the analytic subcommands
+(R_BS = inf with one BS on the midline, where the wired term is 0, and with
+16 BSs, where it is inf) at small sizes, and of the analytic subcommands
 ``regime-map``, ``min-backhaul`` and ``exponent`` (text and JSON).  A kernel
 rewrite that changes a single floating-point rounding anywhere in MH, HC,
 IMH, ISH, the cut-set bounds or the exponent formulas fails here.
@@ -41,6 +42,11 @@ CASES = {
         "bound", *_SIZES_SEEDS,
         "--alpha", "3", "--beta", "0.3", "--gamma", "0.3", "--eta", "0.2",
     ],
+    # unlimited backhaul: one BS on the midline (wired 0) and 16 BSs (wired inf)
+    **{f"bound_a3_b{b}_g{g}_etainf.csv": [
+        "bound", *_SIZES_SEEDS,
+        "--alpha", "3", "--beta", b, "--gamma", g, "--eta=inf",
+    ] for b, g in (("0", "0"), ("0.5", "0.25"))},
     # default 20 x 20 grid and reference alphas
     "regime_map_eta0.2.csv": ["regime-map", "--eta", "0.2"],
     "regime_map_etainf.csv": ["regime-map", "--eta=inf", *_GRID_12,
