@@ -144,8 +144,7 @@ def _resolve_seeds(opts: dict) -> list[int]:
             raise ConfigError("simulation commands need explicit seeds")
         if count < 1:
             raise ConfigError(f"--num-seeds must be positive, got {count}")
-        base = opts["seed_base"] or 0
-        seeds = list(range(base, base + count))
+        seeds = list(range(opts["seed_base"], opts["seed_base"] + count))
     if not seeds:
         raise ConfigError("at least one seed is required")
     return seeds
@@ -174,7 +173,7 @@ def _emit(opts: dict, header: dict, columns, rows, trailers, extra: dict) -> Non
     header = dict(header)
     header["schema_version"] = SCHEMA_VERSION
     header["tool"] = f"hybridscale {__version__}"
-    if opts.get("format", "csv") == "json":
+    if opts["format"] == "json":
         payload = {
             "header": {k: header[k] for k in sorted(header)},
             "columns": list(columns),
@@ -188,9 +187,8 @@ def _emit(opts: dict, header: dict, columns, rows, trailers, extra: dict) -> Non
         lines.extend(",".join(_fmt(c) for c in row) for row in rows)
         lines.extend(trailers)
         text = "\n".join(lines) + "\n"
-    out = opts.get("output")
-    if out:
-        with _open_output(out, "w") as fh:
+    if opts["output"]:
+        with _open_output(opts["output"], "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -247,11 +245,15 @@ def _cmd_exponent(args: argparse.Namespace) -> int:
     return 0
 
 
-def _simplex(beta_grid: np.ndarray, gamma_grid: np.ndarray):
-    for b in beta_grid:
-        for g in gamma_grid:
-            if 0.0 <= b < 1.0 and 0.0 <= g < 1.0 and b + g <= 1.0:
-                yield float(b), float(g)
+def _sweep(opts: dict) -> tuple[list[tuple[float, float]], dict]:
+    """The (beta, gamma) grid points inside the simplex, and the grids' header."""
+    bg = _grid(opts["beta_grid"], "beta")
+    gg = _grid(opts["gamma_grid"], "gamma")
+    points = [(float(b), float(g)) for b in bg for g in gg
+              if 0.0 <= b < 1.0 and 0.0 <= g < 1.0 and b + g <= 1.0]
+    grids = {k: " ".join(_fmt(v) for v in opts[k])
+             for k in ("beta_grid", "gamma_grid")}
+    return points, grids
 
 
 def _cmd_regime_map(args: argparse.Namespace) -> int:
@@ -264,20 +266,15 @@ def _cmd_regime_map(args: argparse.Namespace) -> int:
     eta, alphas = opts["eta"], opts["alphas"]
     if any(a <= 2.0 for a in alphas):
         raise ConfigError("reference alphas must exceed 2")
-    bg = _grid(opts["beta_grid"], "beta")
-    gg = _grid(opts["gamma_grid"], "gamma")
+    points, grids = _sweep(opts)
     columns = ["beta", "gamma", "label3d"] + [f"e_alpha_{_fmt(a)}" for a in alphas]
     rows = []
-    for b, g in _simplex(bg, gg):
+    for b, g in points:
         report = classify_regime_3d(b, g, eta)
         es = [report.interval_at(a).exponent_at(a) for a in alphas]
         rows.append([b, g, report.label3d, *es])
-    header = {
-        "command": "regime-map", "eta": eta,
-        "alphas": " ".join(_fmt(a) for a in alphas),
-        "beta_grid": " ".join(_fmt(v) for v in opts["beta_grid"]),
-        "gamma_grid": " ".join(_fmt(v) for v in opts["gamma_grid"]),
-    }
+    header = {"command": "regime-map", "eta": eta,
+              "alphas": " ".join(_fmt(a) for a in alphas), **grids}
     _emit(opts, header, columns, rows, [], {})
     return 0
 
@@ -287,21 +284,15 @@ def _cmd_min_backhaul(args: argparse.Namespace) -> int:
         "beta_grid": (0.0, 0.95, 20), "gamma_grid": (0.0, 0.95, 20),
         "output": None, "format": "csv",
     })
-    bg = _grid(opts["beta_grid"], "beta")
-    gg = _grid(opts["gamma_grid"], "gamma")
+    points, grids = _sweep(opts)
     rows = []
-    for b, g in _simplex(bg, gg):
+    for b, g in points:
         report = classify_regime_3d(b, g, math.inf)
         eta_star = min_backhaul_exponent(b, g)
         negligible = not (eta_star > 0.0)  # covers eta* = -inf as well
         rows.append([b, g, report.label2d, eta_star, str(negligible).lower()])
-    header = {
-        "command": "min-backhaul",
-        "beta_grid": " ".join(_fmt(v) for v in opts["beta_grid"]),
-        "gamma_grid": " ".join(_fmt(v) for v in opts["gamma_grid"]),
-    }
-    _emit(opts, header, ["beta", "gamma", "regime", "eta_star", "negligible"],
-          rows, [], {})
+    _emit(opts, {"command": "min-backhaul", **grids},
+          ["beta", "gamma", "regime", "eta_star", "negligible"], rows, [], {})
     return 0
 
 
@@ -315,7 +306,7 @@ def _sim_defaults() -> dict:
 
 
 def _instances(opts: dict, p: ScalingPoint, seeds: list[int]):
-    """(n, seed, fm, topo, ch, cfg, L1 bound, L2 bound) of each run instance."""
+    """(n, seed, fm, topo, ch, cfg, L1 bound, L2 bound, min cut) of each instance."""
     if opts["output"]:  # an unwritable -o fails before any Monte Carlo
         _open_output(opts["output"], "a").close()
     for n in opts["sizes"]:
@@ -330,8 +321,8 @@ def _instances(opts: dict, p: ScalingPoint, seeds: list[int]):
                 raise ConfigError(str(exc)) from exc
             topo = generate_topology(TopologyConfig(n=n, m=fm.m, l=fm.l, seed=seed))
             ch = ChannelRealization(topo, alpha=p.alpha, phase_seed=seed)
-            yield (n, seed, fm, topo, ch, cfg,
-                   bound_l1(topo, ch, cfg), bound_l2(topo, ch, cfg))
+            b1, b2 = bound_l1(topo, ch, cfg), bound_l2(topo, ch, cfg)
+            yield n, seed, fm, topo, ch, cfg, b1, b2, min(b1.total, b2.total)
 
 
 def _run_header(command: str, p: ScalingPoint, opts: dict, seeds: list[int]) -> dict:
@@ -354,8 +345,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     rows = []
     agg: dict[str, dict[int, list[float]]] = {s: {} for s in schemes}
     violations = []
-    for n, seed, fm, topo, ch, cfg, b1, b2 in _instances(opts, p, seeds):
-        cut = min(b1.total, b2.total)
+    for n, seed, fm, topo, ch, cfg, _, _, cut in _instances(opts, p, seeds):
         for scheme in schemes:
             res = _RUNNERS[scheme](topo, ch, cfg)
             stages = res.stage_rates
@@ -401,13 +391,13 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     seeds = _resolve_seeds(opts)
     p = _point(opts)
     rows = []
-    for n, seed, fm, _, _, _, b1, b2 in _instances(opts, p, seeds):
+    for n, seed, fm, _, _, _, b1, b2, cut in _instances(opts, p, seeds):
         base = [n, fm.m, fm.l, fm.r_bs, p.alpha, seed]
         for b in (b1, b2):
             rows.append(base + [b.cut, b.wireless_terms["D1"],
                                 b.wireless_terms["D2"], b.wireless_terms["D3"],
                                 b.wired_term, b.total])
-        rows.append(base + ["MIN", None, None, None, None, min(b1.total, b2.total)])
+        rows.append(base + ["MIN", None, None, None, None, cut])
     _emit(opts, _run_header("bound", p, opts, seeds), BOUND_COLUMNS, rows, [], {})
     return 0
 

@@ -1,23 +1,25 @@
 """Numeric cut-set upper bounds on finite network instances.
 
 Two vertical cuts at the midline x = sqrt(n)/2 bound the aggregate rate
-from above.  Under L1 the left-half nodes transmit to everything else:
-the right-half nodes, every BS antenna, and the central processor.
-Under L2 the whole left half (nodes and BS antennas) transmits to the
-right-half nodes and antennas, and each left-half BS additionally ships
-at most R_BS bits/slot over its wired link.
+from above.  Each sends from the left-half nodes to the right-half nodes
+and adds the sets below; a BS is left when its center is strictly left of
+the midline, and RCP is the central processor:
+
+    cut   extra sources      extra destinations           wired term
+    L1    none               every BS antenna, the RCP    0
+    L2    left-BS antennas   right-BS antennas            R_BS per left BS
 
 Every wireless term is the single-destination MISO bound
 
     log2(1 + (sum_i sqrt(P_i) * r_i^(-alpha/2))^2)
 
-summed over destinations, where P_i is the transmitter's power budget
-(P for nodes, nP/m split evenly across a BS's antennas).  Phases drop
-out of the magnitude sum, so the bound depends on geometry alone.
-Destinations are partitioned into diagnostic groups: D1 is the width-1
-slab just right of the midline (the central processor sits on the
-midline and lands here), D2 holds antennas of left-half BSs within the
-width-1 ring inside their footprint boundary, and D3 is the remainder.
+summed over destinations, where P_i is P for nodes and nP/m split evenly
+across a BS's l antennas.  Phases drop out of the magnitude sum, so the
+bound depends on geometry alone.  Destinations fall into diagnostic
+groups: D1 is the width-1 slab just right of the midline (the central
+processor sits on the midline and lands here), D2 holds antennas of
+left-half BSs within the width-1 ring inside their footprint boundary,
+and D3 is the remainder.
 """
 
 from __future__ import annotations
@@ -106,37 +108,39 @@ def _group_masks(
     return {"D1": d1, "D2": d2, "D3": d3}
 
 
-def _grouped_terms(
-    topo: Topology,
-    dest_pos: np.ndarray,
-    dest_owner: np.ndarray,
-    src_pos: np.ndarray,
-    src_amp: np.ndarray,
-    alpha: float,
-) -> dict[str, float]:
-    bits = _miso_bits(dest_pos, src_pos, src_amp, alpha)
+def _cut(
+    name: str, topo: Topology, ch: ChannelRealization, cfg: SimConfig,
+    src_bs: np.ndarray, dest_bs: np.ndarray, extra_dest: np.ndarray, wired: float,
+) -> CutBound:
+    """Left nodes and the antennas of ``src_bs`` against the right nodes,
+    the antennas of ``dest_bs`` and ``extra_dest`` (owned by no BS)."""
+    left = topo.node_positions[:, 0] < topo.config.side / 2.0
+    ants = topo.antenna_positions
+    per_antenna = (topo.n * cfg.p / topo.m) / topo.l
+    src_pos = np.vstack([topo.node_positions[left], ants[src_bs].reshape(-1, 2)])
+    src_amp = np.concatenate([
+        np.full(int(left.sum()), math.sqrt(cfg.p)),
+        np.full(len(src_bs) * topo.l, math.sqrt(per_antenna)),
+    ])
+    dest_pos = np.vstack(
+        [topo.node_positions[~left], ants[dest_bs].reshape(-1, 2), extra_dest]
+    )
+    dest_owner = np.concatenate([
+        np.full(int((~left).sum()), -1),
+        np.repeat(dest_bs, topo.l),
+        np.full(len(extra_dest), -1),
+    ])
+
+    bits = _miso_bits(dest_pos, src_pos, src_amp, ch.alpha)
     masks = _group_masks(topo, dest_pos, dest_owner)
-    return {g: float(bits[masks[g]].sum()) for g in _GROUPS}
+    terms = {g: float(bits[masks[g]].sum()) for g in _GROUPS}
+    return CutBound(name, terms, wired, sum(terms.values()) + wired)
 
 
 def bound_l1(topo: Topology, ch: ChannelRealization, cfg: SimConfig) -> CutBound:
     """Left-half nodes against the rest of the world (wireless only)."""
-    mid = topo.config.side / 2.0
-    left = topo.node_positions[:, 0] < mid
-    src_pos = topo.node_positions[left]
-    src_amp = np.full(len(src_pos), math.sqrt(cfg.p))
-
-    ants = topo.antenna_positions.reshape(-1, 2)
-    owner = np.repeat(np.arange(topo.m), topo.l)
-    dest_pos = np.vstack(
-        [topo.node_positions[~left], ants, topo.rcp_position[None, :]]
-    )
-    dest_owner = np.concatenate(
-        [np.full((~left).sum(), -1), owner, np.array([-1])]
-    )
-
-    terms = _grouped_terms(topo, dest_pos, dest_owner, src_pos, src_amp, ch.alpha)
-    return CutBound("L1", terms, 0.0, sum(terms.values()))
+    return _cut("L1", topo, ch, cfg, np.arange(0), np.arange(topo.m),
+                topo.rcp_position[None, :], 0.0)
 
 
 def bound_l2(
@@ -150,36 +154,10 @@ def bound_l2(
     if math.isnan(r) or r < 0.0:
         raise ValueError(f"backhaul rate must be non-negative, got {r}")
 
-    mid = topo.config.side / 2.0
-    left = topo.node_positions[:, 0] < mid
-    left_bs = topo.bs_centers[:, 0] < mid
-
-    per_antenna = (topo.n * cfg.p / topo.m) / topo.l
-    src_pos = np.vstack(
-        [topo.node_positions[left], topo.antenna_positions[left_bs].reshape(-1, 2)]
-    )
-    src_amp = np.concatenate(
-        [
-            np.full(int(left.sum()), math.sqrt(cfg.p)),
-            np.full(int(left_bs.sum()) * topo.l, math.sqrt(per_antenna)),
-        ]
-    )
-
-    right_bs_idx = np.nonzero(~left_bs)[0]
-    dest_pos = np.vstack(
-        [
-            topo.node_positions[~left],
-            topo.antenna_positions[right_bs_idx].reshape(-1, 2),
-        ]
-    )
-    dest_owner = np.concatenate(
-        [np.full((~left).sum(), -1), np.repeat(right_bs_idx, topo.l)]
-    )
-
-    terms = _grouped_terms(topo, dest_pos, dest_owner, src_pos, src_amp, ch.alpha)
+    left_bs = topo.bs_centers[:, 0] < topo.config.side / 2.0
     n_left = int(left_bs.sum())
-    wired = n_left * r if n_left else 0.0
-    return CutBound("L2", terms, wired, sum(terms.values()) + wired)
+    return _cut("L2", topo, ch, cfg, np.nonzero(left_bs)[0], np.nonzero(~left_bs)[0],
+                np.zeros((0, 2)), n_left * r if n_left else 0.0)
 
 
 def min_cut(

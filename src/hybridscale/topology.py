@@ -49,7 +49,6 @@ class TopologyConfig:
     m: int = 1
     l: int = 1
     seed: int = 0
-    pairing: str = "derangement"
     delta0: float = 0.5
 
     def __post_init__(self) -> None:
@@ -65,8 +64,6 @@ class TopologyConfig:
             raise InfeasibleGeometryError(
                 f"m*l = {self.m * self.l} antennas exceed n = {self.n} nodes"
             )
-        if self.pairing != "derangement":
-            raise InfeasibleGeometryError(f"unknown pairing {self.pairing!r}")
         if not 0.0 < self.delta0 < 1.0:
             raise InfeasibleGeometryError("delta0 must lie in (0, 1)")
 
@@ -130,7 +127,6 @@ class Topology:
                 "m": self.config.m,
                 "l": self.config.l,
                 "seed": self.config.seed,
-                "pairing": self.config.pairing,
                 "delta0": self.config.delta0,
             },
             "node_positions": self.node_positions.tolist(),

@@ -270,3 +270,14 @@ def test_cut_violation_exits_3_and_names_the_row(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert f"MH n=256 seed=0 aggregate=1000000000.0 cut={rows[1][7]}" in err
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known false exit 3 at tiny n (CHANGES.md FOUND line on cli._cmd_simulate): "
+    "every node lies right of the midline, so the cut is 0, yet the aggregate "
+    "it is compared with counts flows that never cross the cut"))
+def test_tiny_network_with_no_crossing_flow_is_not_a_violation(tmp_path):
+    out = tmp_path / "tiny.csv"
+    assert cli.main(["simulate", "--sizes", "4", "--seeds", "10", "--alpha", "6",
+                     "--beta", "0", "--gamma", "0.1", "--eta=-1", "--power", "1",
+                     "-o", str(out)]) == 0

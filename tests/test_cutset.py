@@ -157,3 +157,63 @@ def test_cut_bound_validates_and_serializes():
     b = CutBound("L2", {"D1": 1.0, "D2": 0.0, "D3": 2.0}, 4.0, 7.0)
     blob = json.loads(b.to_json())
     assert blob["total"] == 7.0 and blob["cut"] == "L2"
+
+
+def _oracle_cut(topo, p, r_bs, alpha, cut):
+    """Both cuts' terms by a plain per-destination loop over the definitions.
+
+    Sources, destinations, powers and the D1/D2/D3 rings follow the module
+    docstring, written out point by point without the module's arrays.
+    """
+    mid = topo.config.side / 2.0
+    nodes = [tuple(map(float, q)) for q in topo.node_positions]
+    left_bs = [b for b in range(topo.m) if topo.bs_centers[b][0] < mid]
+    right_bs = [b for b in range(topo.m) if b not in left_bs]
+    ants = [[tuple(map(float, a)) for a in topo.antenna_positions[b]]
+            for b in range(topo.m)]
+    amp_node = math.sqrt(p)
+    amp_ant = math.sqrt(topo.n * p / topo.m / topo.l)
+
+    sources = [(q, amp_node) for q in nodes if q[0] < mid]
+    dests = [(q, None) for q in nodes if q[0] >= mid]
+    if cut == "L1":
+        dests += [(a, b) for b in range(topo.m) for a in ants[b]]
+        dests.append((tuple(map(float, topo.rcp_position)), None))
+        wired = 0.0
+    else:
+        sources += [(a, amp_ant) for b in left_bs for a in ants[b]]
+        dests += [(a, b) for b in right_bs for a in ants[b]]
+        wired = len(left_bs) * r_bs
+
+    terms = {"D1": 0.0, "D2": 0.0, "D3": 0.0}
+    for (dx, dy), owner in dests:
+        amp = 0.0
+        for (sx, sy), a in sources:
+            amp += a * math.hypot(dx - sx, dy - sy) ** (-alpha / 2.0)
+        bits = math.log2(1.0 + amp * amp)
+        if mid <= dx < mid + 1.0:
+            terms["D1"] += bits
+            continue
+        if owner is not None and owner in left_bs:
+            cx, cy = map(float, topo.bs_centers[owner])
+            cheb = max(abs(dx - cx), abs(dy - cy))
+            if topo.footprint_side / 2.0 - cheb <= 1.0:
+                terms["D2"] += bits
+                continue
+        terms["D3"] += bits
+    return terms, wired
+
+
+# at n=576, m=4, l=36 some interior antennas lie deeper than the D2 ring
+@pytest.mark.parametrize("n, m, l", [(256, 16, 4), (256, 1, 1), (576, 4, 36)])
+@pytest.mark.parametrize("cut", ["L1", "L2"])
+def test_cut_terms_match_a_per_destination_oracle(n, m, l, cut):
+    """L1 and L2 (left-BS antennas as sources at sqrt(nP/(ml))) against a loop."""
+    topo, ch = _instance(n, m, l, 3.0, 0)
+    cfg = SimConfig(p=100.0, r_bs=1.0)
+    b = bound_l1(topo, ch, cfg) if cut == "L1" else bound_l2(topo, ch, cfg)
+    terms, wired = _oracle_cut(topo, cfg.p, cfg.r_bs, ch.alpha, cut)
+    for g in ("D1", "D2", "D3"):
+        assert b.wireless_terms[g] == pytest.approx(terms[g], rel=1e-12, abs=0.0)
+    assert b.wired_term == wired
+    assert b.total == pytest.approx(sum(terms.values()) + wired, rel=1e-12)

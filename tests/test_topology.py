@@ -51,7 +51,6 @@ def _manual_topology(nodes, antennas=None, m=1, l=1, n=None):
         dict(n=100, m=100, l=1),       # m must stay below n
         dict(n=100, m=25, l=5),        # m*l > n
         dict(n=100, m=4, l=0),
-        dict(n=100, m=4, l=1, pairing="random"),
         dict(n=100, m=4, l=1, delta0=1.5),
     ],
 )
