@@ -109,8 +109,14 @@ def _group_masks(
 
 
 def _cut(
-    name: str, topo: Topology, ch: ChannelRealization, cfg: SimConfig,
-    src_bs: np.ndarray, dest_bs: np.ndarray, extra_dest: np.ndarray, wired: float,
+    name: str,
+    topo: Topology,
+    ch: ChannelRealization,
+    cfg: SimConfig,
+    src_bs: np.ndarray,
+    dest_bs: np.ndarray,
+    extra_dest: np.ndarray,
+    wired: float,
 ) -> CutBound:
     """Left nodes and the antennas of ``src_bs`` against the right nodes,
     the antennas of ``dest_bs`` and ``extra_dest`` (owned by no BS)."""
