@@ -51,6 +51,7 @@ def _manual_topology(nodes, antennas=None, m=1, l=1, n=None):
         dict(n=100, m=100, l=1),       # m must stay below n
         dict(n=100, m=25, l=5),        # m*l > n
         dict(n=100, m=4, l=0),
+        dict(n=100, m=4, l=1, delta0=0.0),  # delta0 interval is open
         dict(n=100, m=4, l=1, delta0=1.5),
     ],
 )
