@@ -12,9 +12,9 @@ wall-clock seeding anywhere.
 CSV files start with ``# key=value`` comment lines carrying the full
 effective configuration (sorted by key), so re-running the embedded
 configuration reproduces the file byte for byte.  Exit codes: 0 on
-success, 2 for invalid configuration or usage, 3 when a run detects an
-invariant violation (a simulated aggregate exceeding the cut-set
-bound).
+success, 2 for invalid configuration, usage or geometry, 3 when a run
+detects an invariant violation (a simulated aggregate exceeding the
+cut-set bound).
 
 Simulation CSV columns: scheme,n,m,l,R_BS,alpha,seed,aggregate,access,
 backhaul,exit — one row per (scheme, n, seed) plus a MIN_CUT row per
@@ -34,18 +34,20 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .channel import ChannelRealization
+from .channel import ChannelRealization, ZeroDistanceError
 from .cutset import bound_l1, bound_l2
 from .protocols import RUNNERS as _RUNNERS
-from .protocols import SimConfig, fit_scaling_exponent
+from .protocols import EmptyRoutingCellError, SimConfig, fit_scaling_exponent
 from .scaling import (
     InvalidPointError,
     ScalingPoint,
+    achievable_exponent_grid,
+    classify_regime_2d,
     classify_regime_3d,
     map_finite_n,
     min_backhaul_exponent,
 )
-from .topology import TopologyConfig, generate_topology
+from .topology import InfeasibleGeometryError, TopologyConfig, generate_topology
 
 SCHEMA_VERSION = 1
 
@@ -147,6 +149,8 @@ def _resolve_seeds(opts: dict) -> list[int]:
         seeds = list(range(opts["seed_base"], opts["seed_base"] + count))
     if not seeds:
         raise ConfigError("at least one seed is required")
+    if min(seeds) < 0:
+        raise ConfigError(f"seeds must be non-negative, got {min(seeds)}")
     return seeds
 
 
@@ -264,15 +268,15 @@ def _cmd_regime_map(args: argparse.Namespace) -> int:
         "output": None, "format": "csv",
     })
     eta, alphas = opts["eta"], opts["alphas"]
-    if any(a <= 2.0 for a in alphas):
-        raise ConfigError("reference alphas must exceed 2")
+    if not all(math.isfinite(a) and a > 2.0 for a in alphas):
+        raise ConfigError("reference alphas must be finite and exceed 2")
     points, grids = _sweep(opts)
     columns = ["beta", "gamma", "label3d"] + [f"e_alpha_{_fmt(a)}" for a in alphas]
-    rows = []
-    for b, g in points:
-        report = classify_regime_3d(b, g, eta)
-        es = [report.interval_at(a).exponent_at(a) for a in alphas]
-        rows.append([b, g, report.label3d, *es])
+    beta, gamma = np.array(points, dtype=float).reshape(-1, 2).T
+    es = achievable_exponent_grid(np.array(alphas)[None, :], beta[:, None],
+                                  gamma[:, None], eta).tolist()
+    rows = [[b, g, classify_regime_3d(b, g, eta).label3d, *e]
+            for (b, g), e in zip(points, es)]
     header = {"command": "regime-map", "eta": eta,
               "alphas": " ".join(_fmt(a) for a in alphas), **grids}
     _emit(opts, header, columns, rows, [], {})
@@ -287,10 +291,9 @@ def _cmd_min_backhaul(args: argparse.Namespace) -> int:
     points, grids = _sweep(opts)
     rows = []
     for b, g in points:
-        report = classify_regime_3d(b, g, math.inf)
         eta_star = min_backhaul_exponent(b, g)
         negligible = not (eta_star > 0.0)  # covers eta* = -inf as well
-        rows.append([b, g, report.label2d, eta_star, str(negligible).lower()])
+        rows.append([b, g, classify_regime_2d(b, g), eta_star, str(negligible).lower()])
     _emit(opts, {"command": "min-backhaul", **grids},
           ["beta", "gamma", "regime", "eta_star", "negligible"], rows, [], {})
     return 0
@@ -498,7 +501,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, InvalidPointError) as exc:
+    except (ConfigError, InvalidPointError, InfeasibleGeometryError,
+            EmptyRoutingCellError, ZeroDistanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

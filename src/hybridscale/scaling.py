@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,10 +86,10 @@ class SchemeExponents:
     backhaul_cap: float
 
 
-# The elementary exponent formulas.  All higher-level code (scalar, grid and
-# alpha-interval evaluation) must go through these so that equal quantities
-# are computed by the identical floating-point expression.  They take floats
-# or broadcast numpy arrays alike.
+# The elementary exponent formulas.  All higher-level code (scalar and grid
+# evaluation) goes through ``_terms`` so that equal quantities are computed by
+# the identical floating-point expression.  They take floats or broadcast
+# numpy arrays alike.
 
 def _e_mh() -> float:
     return 0.5
@@ -118,6 +117,15 @@ def _e_cap(beta, eta):
     return beta + eta
 
 
+def _terms(alpha, beta, gamma, eta):
+    """(hc, ish_raw, imh_raw, backhaul_cap) as arrays; inputs broadcast."""
+    alpha, beta, gamma, eta = (np.asarray(v, dtype=float)
+                               for v in (alpha, beta, gamma, eta))
+    return (_e_hc(alpha), _e_ish_raw(alpha, beta, gamma),
+            np.minimum(_e_imh_bg(beta, gamma), _e_imh_half(beta)),
+            _e_cap(beta, eta))
+
+
 def scheme_exponents(p: ScalingPoint) -> SchemeExponents:
     """Exponents of the four schemes plus the backhaul cap at point ``p``.
 
@@ -127,13 +135,9 @@ def scheme_exponents(p: ScalingPoint) -> SchemeExponents:
     exponent; backhaul_cap = beta + eta is what m backhaul links of rate
     n^eta can carry.
     """
-    return SchemeExponents(
-        mh=_e_mh(),
-        hc=_e_hc(p.alpha),
-        ish_raw=_e_ish_raw(p.alpha, p.beta, p.gamma),
-        imh_raw=min(_e_imh_bg(p.beta, p.gamma), _e_imh_half(p.beta)),
-        backhaul_cap=_e_cap(p.beta, p.eta),
-    )
+    hc, ish, imh, cap = map(float, _terms(p.alpha, p.beta, p.gamma, p.eta))
+    return SchemeExponents(mh=_e_mh(), hc=hc, ish_raw=ish, imh_raw=imh,
+                           backhaul_cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +151,9 @@ def _tree(alpha, beta, gamma, eta):
     The infrastructure branch (capped or not) is credited to the scheme with
     the larger raw exponent; exact ties go to the higher SCHEME_CODES code.
     """
-    alpha, beta, gamma, eta = (np.asarray(v, dtype=float)
-                               for v in (alpha, beta, gamma, eta))
-    ish = _e_ish_raw(alpha, beta, gamma)
-    imh = np.minimum(_e_imh_bg(beta, gamma), _e_imh_half(beta))
-    infra = np.minimum(np.maximum(ish, imh), _e_cap(beta, eta))
-    e = np.maximum(np.maximum(infra, _e_mh()), _e_hc(alpha))
+    hc, ish, imh, cap = _terms(alpha, beta, gamma, eta)
+    infra = np.minimum(np.maximum(ish, imh), cap)
+    e = np.maximum(np.maximum(infra, _e_mh()), hc)
     scheme = np.where(
         infra == e,
         np.where(imh >= ish, SCHEME_CODES["IMH"], SCHEME_CODES["ISH"]),
@@ -199,12 +200,10 @@ def achievable_exponent_grid(alpha, beta, gamma, eta):
 
 def upper_bound_exponent_grid(alpha, beta, gamma, eta):
     """Vectorized cut-set bound, composed as min(wireless cut, backhaul cut)."""
-    alpha, beta, gamma, eta = (np.asarray(v, dtype=float)
-                               for v in (alpha, beta, gamma, eta))
-    imh = np.minimum(_e_imh_bg(beta, gamma), _e_imh_half(beta))
-    adhoc = np.maximum(_e_mh(), _e_hc(alpha))
-    wireless_cut = np.maximum(np.maximum(_e_ish_raw(alpha, beta, gamma), imh), adhoc)
-    backhaul_cut = np.maximum(_e_cap(beta, eta), adhoc)
+    hc, ish, imh, cap = _terms(alpha, beta, gamma, eta)
+    adhoc = np.maximum(_e_mh(), hc)
+    wireless_cut = np.maximum(np.maximum(ish, imh), adhoc)
+    backhaul_cut = np.maximum(cap, adhoc)
     return np.minimum(wireless_cut, backhaul_cut)
 
 
@@ -290,13 +289,6 @@ class AlphaInterval:
     alpha_max: float
     scheme: str
     formula: str
-    _eval: Callable[[float], float] = field(repr=False, compare=False)
-
-    def exponent_at(self, alpha: float) -> float:
-        return self._eval(alpha)
-
-    def contains(self, alpha: float) -> bool:
-        return self.alpha_min <= alpha < self.alpha_max
 
     def to_dict(self) -> dict:
         return {
@@ -308,58 +300,56 @@ class AlphaInterval:
 
 
 def _breakpoints(label: str, beta: float, gamma: float, eta: float) -> tuple[AlphaInterval, ...]:
-    """Piecewise best-scheme segments of (2, inf) for a resolved label."""
-    hc = _e_hc
-    mh = lambda a: _e_mh()
-    imh = lambda a: min(_e_imh_bg(beta, gamma), _e_imh_half(beta))
-    ish = lambda a: _e_ish_raw(a, beta, gamma)
-    cap = lambda a: _e_cap(beta, eta)
+    """Piecewise best-scheme segments of (2, inf) for a resolved label.
 
+    The table only names each segment's scheme and formula; every exponent
+    value is evaluated by ``_tree``.
+    """
     if label == "A":
-        segs = [(2.0, 3.0, "HC", "2 - alpha/2", hc),
-                (3.0, INF, "MH", "1/2", mh)]
+        segs = [(2.0, 3.0, "HC", "2 - alpha/2"),
+                (3.0, INF, "MH", "1/2")]
     elif label == "B":
         x = 4.0 - 2.0 * beta - 2.0 * gamma
-        segs = [(2.0, x, "HC", "2 - alpha/2", hc),
-                (x, INF, "IMH", "beta + gamma", imh)]
+        segs = [(2.0, x, "HC", "2 - alpha/2"),
+                (x, INF, "IMH", "beta + gamma")]
     elif label == "C":
         x = 3.0 - beta
-        segs = [(2.0, x, "HC", "2 - alpha/2", hc),
-                (x, INF, "IMH", "(1 + beta)/2", imh)]
+        segs = [(2.0, x, "HC", "2 - alpha/2"),
+                (x, INF, "IMH", "(1 + beta)/2")]
     elif label == "D":
         x1 = 2.0 * (1.0 - gamma) / beta
         x2 = 1.0 + 2.0 * gamma / (1.0 - beta)
-        segs = [(2.0, x1, "HC", "2 - alpha/2", hc),
-                (x1, x2, "ISH", "1 + gamma - alpha*(1 - beta)/2", ish),
-                (x2, INF, "IMH", "(1 + beta)/2", imh)]
+        segs = [(2.0, x1, "HC", "2 - alpha/2"),
+                (x1, x2, "ISH", "1 + gamma - alpha*(1 - beta)/2"),
+                (x2, INF, "IMH", "(1 + beta)/2")]
     elif label == "B~":
         x = 4.0 - 2.0 * beta - 2.0 * eta
-        segs = [(2.0, x, "HC", "2 - alpha/2", hc),
-                (x, INF, "IMH", "beta + eta", cap)]
+        segs = [(2.0, x, "HC", "2 - alpha/2"),
+                (x, INF, "IMH", "beta + eta")]
     elif label == "D~":
         x1 = 4.0 - 2.0 * beta - 2.0 * eta
         x2 = 2.0 + 2.0 * (gamma - eta) / (1.0 - beta)
         x3 = 1.0 + 2.0 * gamma / (1.0 - beta)
-        segs = [(2.0, x1, "HC", "2 - alpha/2", hc),
-                (x1, x2, "ISH", "beta + eta", cap),
-                (x2, x3, "ISH", "1 + gamma - alpha*(1 - beta)/2", ish),
-                (x3, INF, "IMH", "(1 + beta)/2", imh)]
+        segs = [(2.0, x1, "HC", "2 - alpha/2"),
+                (x1, x2, "ISH", "beta + eta"),
+                (x2, x3, "ISH", "1 + gamma - alpha*(1 - beta)/2"),
+                (x3, INF, "IMH", "(1 + beta)/2")]
     else:  # pragma: no cover - labels are produced internally
         raise ValueError(f"unknown regime label {label!r}")
 
     kept = []
-    for lo, hi, scheme, formula, fn in segs:
+    for lo, hi, scheme, formula in segs:
         lo = max(lo, 2.0)
         if hi <= lo:
             continue  # segment pushed out of the alpha > 2 range
-        kept.append((lo, hi, scheme, formula, fn))
+        kept.append((lo, hi, scheme, formula))
     # Stitch neighbours so the intervals tile (2, inf) with no gaps even if
     # an inner segment degenerated to a point.
     out = []
-    for k, (lo, hi, scheme, formula, fn) in enumerate(kept):
+    for k, (lo, hi, scheme, formula) in enumerate(kept):
         if k + 1 < len(kept):
             hi = kept[k + 1][0]
-        out.append(AlphaInterval(lo, hi, scheme, formula, fn))
+        out.append(AlphaInterval(lo, hi, scheme, formula))
     return tuple(out)
 
 
@@ -378,12 +368,6 @@ class RegimeReport:
     exponent: float | None = None
     dof_limited: bool | None = None
     infra_limited: bool | None = None
-
-    def interval_at(self, alpha: float) -> AlphaInterval:
-        for seg in self.alpha_breakpoints:
-            if seg.contains(alpha):
-                return seg
-        raise ValueError(f"alpha={alpha} outside (2, inf)")
 
     def to_dict(self) -> dict:
         return {

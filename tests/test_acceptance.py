@@ -16,6 +16,8 @@ from hybridscale import cli
 
 pytestmark = pytest.mark.acceptance
 from hybridscale.scaling import (
+    ScalingPoint,
+    achievable_exponent,
     achievable_exponent_grid,
     classify_regime_3d,
     min_backhaul_exponent,
@@ -173,7 +175,8 @@ def test_criterion_03_regime_examples(outdir):
     assert [(s.alpha_min, s.alpha_max, s.scheme) for s in segs] == [
         (2.0, 3.0, "HC"), (3.0, math.inf, "IMH"),
     ]
-    assert segs[1].exponent_at(4.0) == 0.3 + 0.2
+    assert segs[1].formula == "beta + eta"
+    assert achievable_exponent(ScalingPoint(4.0, 0.3, 0.3, 0.2)) == (0.3 + 0.2, "IMH")
 
     assert classify_regime_3d(0.6, 0.4, 0.2).label3d == "D~"
 

@@ -9,11 +9,15 @@ import numpy as np
 import pytest
 
 from hybridscale import cli
-from hybridscale.channel import ChannelRealization
+from hybridscale.channel import ChannelRealization, ZeroDistanceError
 from hybridscale.cutset import bound_l1, bound_l2
 from hybridscale.protocols import SimConfig, SimResult
-from hybridscale.scaling import min_backhaul_exponent
-from hybridscale.topology import TopologyConfig, generate_topology
+from hybridscale.scaling import ScalingPoint, achievable_exponent, min_backhaul_exponent
+from hybridscale.topology import (
+    InfeasibleGeometryError,
+    TopologyConfig,
+    generate_topology,
+)
 
 
 def _csv_rows(path):
@@ -77,6 +81,27 @@ def test_regime_map_eta_one_equals_infinite(tmp_path):
     assert _csv_rows(a) == _csv_rows(b)
 
 
+@pytest.mark.parametrize("eta", [-math.inf, -0.3, 0.2, 0.45, 0.7, math.inf], ids=str)
+def test_regime_map_cells_equal_achievable_exponent(tmp_path, eta):
+    out = tmp_path / "map.csv"
+    assert cli.main(["regime-map", f"--eta={eta}", "-o", str(out)]) == 0
+    cols, rows = _csv_rows(out)
+    alphas = [float(c.removeprefix("e_alpha_")) for c in cols[3:]]
+    assert rows
+    for beta, gamma, _, *cells in rows:
+        for alpha, cell in zip(alphas, cells):
+            want, _ = achievable_exponent(
+                ScalingPoint(alpha, float(beta), float(gamma), eta))
+            assert float(cell) == want, (beta, gamma, alpha)
+
+
+@pytest.mark.parametrize("alpha", ["2", "inf", "nan"])
+def test_regime_map_rejects_bad_alpha(capsys, alpha):
+    assert cli.main(["regime-map", "--eta", "0.2", "--alphas", alpha]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: reference alphas must be finite and exceed 2\n"
+
+
 def test_min_backhaul_matches_library(tmp_path):
     out = tmp_path / "mb.csv"
     assert cli.main(["min-backhaul", "--beta-grid", "0", "0.9", "7",
@@ -96,6 +121,15 @@ def test_simulate_requires_seeds(capsys):
     assert cli.main(base) == 2
     assert cli.main(base + ["--num-seeds", "0"]) == 2
     assert cli.main(base + ["--seeds", "1", "--num-seeds", "2"]) == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "bound"])
+@pytest.mark.parametrize("seeds, bad", [(["--seeds", "-1"], -1),
+                                        (["--num-seeds", "1", "--seed-base", "-5"], -5)])
+def test_negative_seed_is_one_line_error(capsys, command, seeds, bad):
+    assert cli.main([command, "--sizes", "64", *seeds, "--alpha", "3", "--beta", "0",
+                     "--gamma", "0", "--eta", "0.2"]) == 2
+    assert capsys.readouterr().err == f"error: seeds must be non-negative, got {bad}\n"
 
 
 def test_simulate_rejects_unknown_scheme():
@@ -237,6 +271,27 @@ def test_unwritable_output_is_one_line_error(tmp_path, capsys):
     assert cli.main([*_SIM_POINT, "-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("scheme", ["MH", "IMH"])
+def test_routing_through_a_bs_footprint_is_one_line_error(capsys, scheme):
+    # The single BS's footprint (side 8) swallows 4 of the 8 x 8 routing cells.
+    assert cli.main(["simulate", "--sizes", "1024", "--seeds", "0", "--alpha", "3",
+                     "--beta", "0", "--gamma", "0.5", "--eta=inf",
+                     "--schemes", scheme]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 4 empty routing cell(s) at n=1024")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error", [ZeroDistanceError, InfeasibleGeometryError])
+def test_geometry_error_is_one_line_error(capsys, monkeypatch, error):
+    def fail(topo, ch, cfg):
+        raise error("bad geometry")
+
+    monkeypatch.setitem(cli._RUNNERS, "MH", fail)
+    assert cli.main(_SIM_POINT) == 2
+    assert capsys.readouterr().err == "error: bad geometry\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "bound"])

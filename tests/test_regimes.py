@@ -8,6 +8,12 @@ from hybridscale.scaling import (
     NEG_INF,
     InvalidPointError,
     ScalingPoint,
+    _e_cap,
+    _e_hc,
+    _e_imh_bg,
+    _e_imh_half,
+    _e_ish_raw,
+    _e_mh,
     achievable_exponent,
     classify_regime_2d,
     classify_regime_3d,
@@ -68,6 +74,10 @@ def test_regime_d_scheme_pattern():
 # 3-D classification (finite backhaul)
 # ---------------------------------------------------------------------------
 
+def _exponent(alpha, beta, gamma, eta):
+    return achievable_exponent(ScalingPoint(alpha, beta, gamma, eta))[0]
+
+
 def test_zero_ish_backhaul_is_always_regime_a():
     betas = np.linspace(0.0, 0.99, 41)
     gammas = np.linspace(0.0, 0.99, 41)
@@ -89,8 +99,8 @@ def test_b_tilde_example_with_breakpoints():
     assert segs[1].alpha_max == INF
     assert segs[1].scheme == "IMH"
     assert segs[1].formula == "beta + eta"
-    assert segs[1].exponent_at(5.0) == pytest.approx(0.5, abs=1e-15)
-    assert segs[0].exponent_at(2.5) == pytest.approx(0.75, abs=1e-15)
+    assert _exponent(5.0, 0.3, 0.3, 0.2) == pytest.approx(0.5, abs=1e-15)
+    assert _exponent(2.5, 0.3, 0.3, 0.2) == pytest.approx(0.75, abs=1e-15)
 
 
 def test_d_tilde_example():
@@ -112,8 +122,8 @@ def test_d_tilde_full_pattern():
     assert segs[0].alpha_max == pytest.approx(2.5, abs=1e-12)
     assert segs[1].alpha_max == pytest.approx(2.0 + 2.0 * 0.2 / 0.6, abs=1e-12)
     assert segs[2].alpha_max == pytest.approx(1.0 + 1.1 / 0.6, abs=1e-12)
-    assert segs[1].exponent_at(2.6) == pytest.approx(0.75, abs=1e-15)
-    assert segs[3].exponent_at(9.0) == pytest.approx(0.7, abs=1e-15)
+    assert _exponent(2.6, 0.4, 0.55, 0.35) == pytest.approx(0.75, abs=1e-15)
+    assert _exponent(9.0, 0.4, 0.55, 0.35) == pytest.approx(0.7, abs=1e-15)
 
 
 def test_report_with_alpha_fills_point_fields():
@@ -123,7 +133,7 @@ def test_report_with_alpha_fills_point_fields():
     flags = limitation_flags(ScalingPoint(3.0, 0.3, 0.3, 0.2))
     assert report.dof_limited == flags.dof_limited
     assert report.infra_limited == flags.infra_limited
-    assert report.interval_at(3.0).exponent_at(3.0) == report.exponent
+    assert _exponent(3.0, 0.3, 0.3, 0.2) == report.exponent
 
 
 def test_eta_at_least_one_matches_unbounded():
@@ -166,24 +176,29 @@ def test_breakpoints_partition_positive_axis():
             assert left.alpha_min < left.alpha_max
 
 
+# The printed formula text of a segment, read as a function of (a, b, g, h).
+_FORMULAS = {
+    "2 - alpha/2": lambda a, b, g, h: _e_hc(a),
+    "1/2": lambda a, b, g, h: _e_mh(),
+    "beta + gamma": lambda a, b, g, h: _e_imh_bg(b, g),
+    "(1 + beta)/2": lambda a, b, g, h: _e_imh_half(b),
+    "1 + gamma - alpha*(1 - beta)/2": lambda a, b, g, h: _e_ish_raw(a, b, g),
+    "beta + eta": lambda a, b, g, h: _e_cap(b, h),
+}
+
+
 def test_breakpoint_formula_matches_achievable():
-    # The piecewise table and the pointwise max/min tree are the same law.
+    # The printed piecewise table and the pointwise max/min tree are the same law.
     _, beta, gamma, eta = _random_valid_points(150, seed=17)
     alphas = np.linspace(2.0001, 12.0, 241)
     for b, g, h in zip(beta, gamma, eta):
-        report = classify_regime_3d(float(b), float(g), float(h))
+        b, g, h = float(b), float(g), float(h)
+        segs = classify_regime_3d(b, g, h).alpha_breakpoints
         for a in alphas:
             a = float(a)
-            e, _ = achievable_exponent(ScalingPoint(a, float(b), float(g), float(h)))
-            seg = report.interval_at(a)
-            assert seg.exponent_at(a) == e, (b, g, h, a, seg)
-
-
-def test_interval_at_is_unique():
-    report = classify_regime_3d(0.6, 0.3, INF)
-    for a in (2.1, 2.4, 2.5, 7.0):
-        hits = [s for s in report.alpha_breakpoints if s.contains(a)]
-        assert len(hits) == 1
+            e, _ = achievable_exponent(ScalingPoint(a, b, g, h))
+            seg = next(s for s in segs if s.alpha_min <= a < s.alpha_max)
+            assert _FORMULAS[seg.formula](a, b, g, h) == e, (b, g, h, a, seg)
 
 
 # ---------------------------------------------------------------------------
