@@ -53,8 +53,16 @@ def _phase(seed: int, kind: np.uint64, *keys) -> np.ndarray:
 
 
 def _distances(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """(len(rows), len(cols)) Euclidean distances between two point sets."""
-    return np.linalg.norm(rows[:, None, :] - cols[None, :, :], axis=-1)
+    """(len(rows), len(cols)) Euclidean distances between two point sets.
+
+    ``sqrt(dx*dx + dy*dy)`` equals ``np.linalg.norm`` over the stacked
+    differences bit for bit (its length-2 reduction is that very sum), so
+    every caller's output depends on keeping this form; ``np.hypot`` rounds
+    differently.
+    """
+    dx = rows[:, None, 0] - cols[None, :, 0]
+    dy = rows[:, None, 1] - cols[None, :, 1]
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def _check_distances(r: np.ndarray) -> np.ndarray:

@@ -3,10 +3,15 @@
 The regime oracle classifies an operating point purely from the pattern of
 best schemes along a dense alpha sweep, without looking at any of the
 closed-form region inequalities the classifier under test uses.
+
+The dense distance and MISO references are the one-shot forms that the
+blocked and tensor-free kernels in ``channel`` and ``cutset`` must equal
+bit for bit.
 """
 
 import numpy as np
 
+from hybridscale.channel import ZeroDistanceError
 from hybridscale.scaling import SCHEME_CODES, best_scheme_grid
 
 ALPHA_SWEEP = np.linspace(2.001, 12.0, 571)
@@ -92,3 +97,19 @@ def sweep_labels(beta, gamma, eta, alphas=ALPHA_SWEEP):
     labels[is_bt] = "B~"
     assert not np.any(labels == "?"), "sweep produced an unclassifiable pattern"
     return labels
+
+
+def dense_distances(rows, cols):
+    """(len(rows), len(cols)) distances through the full difference tensor."""
+    return np.linalg.norm(rows[:, None, :] - cols[None, :, :], axis=-1)
+
+
+def dense_miso_bits(dest_pos, src_pos, src_amp, alpha):
+    """Per-destination log2(1 + (sum_i amp_i * r_i^(-alpha/2))^2), one pass."""
+    if len(dest_pos) == 0 or len(src_pos) == 0:
+        return np.zeros(len(dest_pos))
+    r = dense_distances(dest_pos, src_pos)
+    if np.any(r == 0.0):
+        raise ZeroDistanceError("coincident endpoints give an infinite gain")
+    amp = (src_amp[None, :] * r ** (-alpha / 2.0)).sum(axis=1)
+    return np.log2(1.0 + amp * amp)

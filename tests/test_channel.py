@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from hybridscale.channel import ChannelRealization, ZeroDistanceError
+from hybridscale.channel import ChannelRealization, ZeroDistanceError, _distances
 from hybridscale.topology import Topology, TopologyConfig, generate_topology
 
+from oracles import dense_distances
 from test_topology import _manual_topology
 
 
@@ -106,6 +107,18 @@ def test_matrix_forms_agree_with_vectors():
     for j, i in enumerate(nodes):
         assert np.array_equal(U[:, j], ch.uplink_vector(int(i), 1))
         assert np.array_equal(D[j], ch.downlink_vector(1, int(i)))
+
+
+@pytest.mark.parametrize("n_rows, n_cols", [(0, 0), (0, 7), (7, 0), (1, 1), (37, 53)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_distances_equal_the_norm_oracle(n_rows, n_cols, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(-5.0, 90.0, (n_rows, 2))
+    cols = rng.uniform(-5.0, 90.0, (n_cols, 2))
+    cols[: min(n_rows, n_cols)] = rows[: min(n_rows, n_cols)]  # exact zeros too
+    got = _distances(rows, cols)
+    assert got.shape == (n_rows, n_cols)
+    assert np.array_equal(got, dense_distances(rows, cols))
 
 
 # ---------------------------------------------------------------------------

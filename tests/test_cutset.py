@@ -2,14 +2,19 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hybridscale.channel import ChannelRealization
-from hybridscale.cutset import CutBound, bound_l1, bound_l2, min_cut, _group_masks
+from hybridscale.channel import ChannelRealization, ZeroDistanceError
+from hybridscale.cutset import (
+    BLOCK, CutBound, bound_l1, bound_l2, min_cut, _group_masks, _miso_bits,
+)
 from hybridscale.protocols import SimConfig, best_of_schemes
 from hybridscale.topology import Topology, TopologyConfig, generate_topology
+
+from oracles import dense_miso_bits
 
 
 def _fixed_topo(nodes, antennas, m=1, l=1):
@@ -217,3 +222,49 @@ def test_cut_terms_match_a_per_destination_oracle(n, m, l, cut):
         assert b.wireless_terms[g] == pytest.approx(terms[g], rel=1e-12, abs=0.0)
     assert b.wired_term == wired
     assert b.total == pytest.approx(sum(terms.values()) + wired, rel=1e-12)
+
+
+def _points(rng, k):
+    return rng.uniform(0.0, 64.0, (k, 2))
+
+
+# 700 sources give blocks of b = 93 rows; BLOCK + 3 sources give one-row blocks
+@pytest.mark.parametrize("n_src", [0, 1, 700, BLOCK + 3])
+# 0, 1, b-1, b, b+1 and 2b+1 destination rows
+@pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+def test_miso_bits_equal_the_dense_oracle(n_src, blocks, extra):
+    n_dest = blocks * max(1, BLOCK // max(n_src, 1)) + extra
+    rng = np.random.default_rng([n_src, n_dest])
+    dest, src = _points(rng, n_dest), _points(rng, n_src)
+    amp = rng.uniform(0.5, 20.0, n_src)
+    got = _miso_bits(dest, src, amp, 3.3)
+    assert got.shape == (n_dest,)
+    assert np.array_equal(got, dense_miso_bits(dest, src, amp, 3.3))
+
+
+def test_miso_bits_finds_a_coincident_pair_in_the_last_block():
+    rng = np.random.default_rng(7)
+    src = _points(rng, 700)
+    b = BLOCK // 700
+    dest = _points(rng, 2 * b + 1)
+    dest[-1] = src[350]  # the last block holds only this row
+    with pytest.raises(ZeroDistanceError):
+        _miso_bits(dest, src, np.ones(700), 3.0)
+
+
+def test_cut_bounds_keep_memory_far_below_the_pair_count():
+    """Both cuts at the largest infra_sweep size, n=4096, m=64, l=8.
+
+    Each cut has about 5.3 M (destination, source) pairs, so a dense float64
+    difference tensor over them alone would take 84 MB.
+    """
+    topo, ch = _instance(4096, 64, 8, 3.0, 0)
+    cfg = SimConfig(p=100.0, r_bs=1.0)
+    tracemalloc.start()
+    try:
+        bound_l1(topo, ch, cfg)
+        bound_l2(topo, ch, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
