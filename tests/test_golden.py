@@ -4,10 +4,11 @@ The files under ``tests/golden/`` pin the exact bytes of ``simulate`` (all
 four schemes, R_BS = 0 and R_BS = inf with 16 BSs among them) and ``bound``
 (R_BS = inf with one BS on the midline, where the wired term is 0, and with
 16 BSs, where it is inf) at small sizes, and of the analytic subcommands
-``regime-map`` (at four backhaul exponents), ``min-backhaul`` and
-``exponent`` (text and JSON).  A kernel
-rewrite that changes a single floating-point rounding anywhere in MH, HC,
-IMH, ISH, the cut-set bounds or the exponent formulas fails here.
+``regime-map`` (at seven backhaul exponents, among them the label edges
+-0.5, 0 and 0.5), ``min-backhaul`` and ``exponent`` (text and JSON).  A
+kernel rewrite that changes a single floating-point rounding anywhere in
+MH, HC, IMH, ISH, the cut-set bounds, the exponent formulas or the regime
+labels fails here.
 Regenerate a file only when an output change is intended, with the command
 in its parametrization below.
 """
@@ -48,11 +49,11 @@ CASES = {
         "bound", *_SIZES_SEEDS,
         "--alpha", "3", "--beta", b, "--gamma", g, "--eta=inf",
     ] for b, g in (("0", "0"), ("0.5", "0.25"))},
-    # default 20 x 20 grid and reference alphas; eta = -inf is all A and
-    # eta = -0.3 splits into A and B~
+    # default 20 x 20 grid and reference alphas; eta = -inf is all A,
+    # eta = -0.3 splits into A and B~, and -0.5, 0 and 0.5 sit on the edges
+    # of the label ladder's cases
     **{f"regime_map_eta{eta}.csv": ["regime-map", f"--eta={eta}"]
-       for eta in ("-inf", "-0.3")},
-    "regime_map_eta0.2.csv": ["regime-map", "--eta", "0.2"],
+       for eta in ("-inf", "-0.5", "-0.3", "0", "0.2", "0.5")},
     "regime_map_etainf.csv": ["regime-map", "--eta=inf", *_GRID_12,
                               "--alphas", "2.2", "2.8", "3.5", "6"],
     "regime_map_eta0.7.json": ["regime-map", "--eta", "0.7", *_GRID_12,
