@@ -18,6 +18,8 @@ from .scaling import (
     limitation_flags,
     map_finite_n,
     min_backhaul_exponent,
+    min_backhaul_exponent_grid,
+    regime_label_grid,
     scheme_exponents,
     upper_bound_exponent,
     upper_bound_exponent_grid,

@@ -39,13 +39,16 @@ from .cutset import bound_l1, bound_l2
 from .protocols import RUNNERS as _RUNNERS
 from .protocols import EmptyRoutingCellError, SimConfig, fit_scaling_exponent
 from .scaling import (
+    INF,
     InvalidPointError,
     ScalingPoint,
+    _check_eta,
     achievable_exponent_grid,
-    classify_regime_2d,
     classify_regime_3d,
     map_finite_n,
     min_backhaul_exponent,
+    min_backhaul_exponent_grid,
+    regime_label_grid,
 )
 from .topology import InfeasibleGeometryError, TopologyConfig, generate_topology
 
@@ -249,15 +252,16 @@ def _cmd_exponent(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep(opts: dict) -> tuple[list[tuple[float, float]], dict]:
-    """The (beta, gamma) grid points inside the simplex, and the grids' header."""
-    bg = _grid(opts["beta_grid"], "beta")
-    gg = _grid(opts["gamma_grid"], "gamma")
-    points = [(float(b), float(g)) for b in bg for g in gg
-              if 0.0 <= b < 1.0 and 0.0 <= g < 1.0 and b + g <= 1.0]
+def _sweep(opts: dict) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Beta and gamma of the grid points inside the simplex, beta-major, and
+    the grids' header."""
+    beta, gamma = np.meshgrid(_grid(opts["beta_grid"], "beta"),
+                              _grid(opts["gamma_grid"], "gamma"), indexing="ij")
+    inside = ((0.0 <= beta) & (beta < 1.0) & (0.0 <= gamma) & (gamma < 1.0)
+              & (beta + gamma <= 1.0))
     grids = {k: " ".join(_fmt(v) for v in opts[k])
              for k in ("beta_grid", "gamma_grid")}
-    return points, grids
+    return beta[inside], gamma[inside], grids
 
 
 def _cmd_regime_map(args: argparse.Namespace) -> int:
@@ -270,13 +274,14 @@ def _cmd_regime_map(args: argparse.Namespace) -> int:
     eta, alphas = opts["eta"], opts["alphas"]
     if not all(math.isfinite(a) and a > 2.0 for a in alphas):
         raise ConfigError("reference alphas must be finite and exceed 2")
-    points, grids = _sweep(opts)
+    beta, gamma, grids = _sweep(opts)
+    _check_eta(eta)
     columns = ["beta", "gamma", "label3d"] + [f"e_alpha_{_fmt(a)}" for a in alphas]
-    beta, gamma = np.array(points, dtype=float).reshape(-1, 2).T
     es = achievable_exponent_grid(np.array(alphas)[None, :], beta[:, None],
                                   gamma[:, None], eta).tolist()
-    rows = [[b, g, classify_regime_3d(b, g, eta).label3d, *e]
-            for (b, g), e in zip(points, es)]
+    rows = [[b, g, label, *e] for b, g, label, e in
+            zip(beta.tolist(), gamma.tolist(),
+                regime_label_grid(beta, gamma, eta).tolist(), es)]
     header = {"command": "regime-map", "eta": eta,
               "alphas": " ".join(_fmt(a) for a in alphas), **grids}
     _emit(opts, header, columns, rows, [], {})
@@ -288,12 +293,13 @@ def _cmd_min_backhaul(args: argparse.Namespace) -> int:
         "beta_grid": (0.0, 0.95, 20), "gamma_grid": (0.0, 0.95, 20),
         "output": None, "format": "csv",
     })
-    points, grids = _sweep(opts)
-    rows = []
-    for b, g in points:
-        eta_star = min_backhaul_exponent(b, g)
-        negligible = not (eta_star > 0.0)  # covers eta* = -inf as well
-        rows.append([b, g, classify_regime_2d(b, g), eta_star, str(negligible).lower()])
+    beta, gamma, grids = _sweep(opts)
+    eta_star = min_backhaul_exponent_grid(beta, gamma)
+    negligible = ~(eta_star > 0.0)  # covers eta* = -inf as well
+    rows = [[b, g, label, e, str(neg).lower()] for b, g, label, e, neg in
+            zip(beta.tolist(), gamma.tolist(),
+                regime_label_grid(beta, gamma, INF).tolist(),
+                eta_star.tolist(), negligible.tolist())]
     _emit(opts, {"command": "min-backhaul", **grids},
           ["beta", "gamma", "regime", "eta_star", "negligible"], rows, [], {})
     return 0

@@ -164,28 +164,14 @@ def bound_l1(topo: Topology, ch: ChannelRealization, cfg: SimConfig) -> CutBound
                 topo.rcp_position[None, :], 0.0)
 
 
-def bound_l2(
-    topo: Topology,
-    ch: ChannelRealization,
-    cfg: SimConfig,
-    r_bs: float | None = None,
-) -> CutBound:
+def bound_l2(topo: Topology, ch: ChannelRealization, cfg: SimConfig) -> CutBound:
     """Entire left half against the right half, plus the wired links."""
-    r = cfg.r_bs if r_bs is None else r_bs
-    if math.isnan(r) or r < 0.0:
-        raise ValueError(f"backhaul rate must be non-negative, got {r}")
-
     left_bs = topo.bs_centers[:, 0] < topo.config.side / 2.0
     n_left = int(left_bs.sum())
     return _cut("L2", topo, ch, cfg, np.nonzero(left_bs)[0], np.nonzero(~left_bs)[0],
-                np.zeros((0, 2)), n_left * r if n_left else 0.0)
+                np.zeros((0, 2)), n_left * cfg.r_bs if n_left else 0.0)
 
 
-def min_cut(
-    topo: Topology,
-    ch: ChannelRealization,
-    cfg: SimConfig,
-    r_bs: float | None = None,
-) -> float:
+def min_cut(topo: Topology, ch: ChannelRealization, cfg: SimConfig) -> float:
     """Tighter of the two cuts; upper-bounds every scheme's aggregate."""
-    return min(bound_l1(topo, ch, cfg).total, bound_l2(topo, ch, cfg, r_bs).total)
+    return min(bound_l1(topo, ch, cfg).total, bound_l2(topo, ch, cfg).total)

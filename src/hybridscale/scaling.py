@@ -37,6 +37,12 @@ class InvalidPointError(ValueError):
     """The operating point violates alpha > 2, beta/gamma range, or beta+gamma <= 1."""
 
 
+def _check_eta(eta: float) -> None:
+    """Reject eta = nan; every real eta and +-inf is a valid backhaul exponent."""
+    if math.isnan(eta):
+        raise InvalidPointError("eta must be a real number or +-inf, got nan")
+
+
 # ---------------------------------------------------------------------------
 # Operating point and per-scheme exponents
 # ---------------------------------------------------------------------------
@@ -68,8 +74,7 @@ class ScalingPoint:
             raise InvalidPointError(
                 f"beta + gamma must not exceed 1, got {self.beta} + {self.gamma}"
             )
-        if math.isnan(self.eta):
-            raise InvalidPointError("eta must be a real number or +-inf, got nan")
+        _check_eta(self.eta)
 
     def with_eta(self, eta: float) -> "ScalingPoint":
         return ScalingPoint(self.alpha, self.beta, self.gamma, eta)
@@ -144,7 +149,7 @@ def scheme_exponents(p: ScalingPoint) -> SchemeExponents:
 # Achievable exponent and matching upper bound
 # ---------------------------------------------------------------------------
 
-def _tree(alpha, beta, gamma, eta):
+def best_scheme_grid(alpha, beta, gamma, eta):
     """(exponent, scheme code) of max{min{max{ish_raw, imh_raw}, beta+eta}, 1/2,
     2-alpha/2} on floats or broadcast arrays, with no domain validation.
 
@@ -169,7 +174,7 @@ def achievable_exponent(p: ScalingPoint) -> tuple[float, str]:
     Exact ties are resolved by the SCHEME_CODES priority, so each boundary
     value belongs to the scheme that is best just above it in alpha.
     """
-    e, code = _tree(p.alpha, p.beta, p.gamma, p.eta)
+    e, code = best_scheme_grid(p.alpha, p.beta, p.gamma, p.eta)
     return float(e), tuple(SCHEME_CODES)[code]
 
 
@@ -195,7 +200,7 @@ def achievable_exponent_grid(alpha, beta, gamma, eta):
     No validation is performed; callers are expected to feed valid points.
     Uses the same elementary float expressions as the scalar version.
     """
-    return _tree(alpha, beta, gamma, eta)[0]
+    return best_scheme_grid(alpha, beta, gamma, eta)[0]
 
 
 def upper_bound_exponent_grid(alpha, beta, gamma, eta):
@@ -207,15 +212,6 @@ def upper_bound_exponent_grid(alpha, beta, gamma, eta):
     return np.minimum(wireless_cut, backhaul_cut)
 
 
-def best_scheme_grid(alpha, beta, gamma, eta):
-    """Vectorized (exponent, scheme code) with the scalar tie-break rules.
-
-    Scheme codes follow SCHEME_CODES.  Used by regime sweeps where calling
-    the scalar function per point would be too slow.
-    """
-    return _tree(alpha, beta, gamma, eta)
-
-
 # ---------------------------------------------------------------------------
 # Operating-regime classification
 # ---------------------------------------------------------------------------
@@ -225,52 +221,51 @@ def _check_range(beta: float, gamma: float) -> None:
         raise InvalidPointError(f"invalid (beta, gamma) = ({beta}, {gamma})")
 
 
-def classify_regime_2d(beta: float, gamma: float) -> str:
-    """Regime label A/B/C/D for unlimited backhaul, from (beta, gamma) only.
+def regime_label_grid(beta, gamma, eta: float):
+    """Regime labels of array (beta, gamma) at one scalar eta, as a str array.
+
+    With unlimited backhaul (eta = inf, or any eta >= 1, where the cap
+    beta+eta exceeds every raw exponent) the label depends on (beta, gamma):
 
     A:  beta + gamma < 1/2 (infrastructure never beats pure ad hoc).
     B:  beta + gamma >= 1/2 and beta + 2*gamma < 1 (antenna-limited IMH).
     D:  beta + 2*gamma >= 1 and gamma >= (beta^2 - 3*beta + 2)/2 (an ISH
         window opens between the HC and IMH segments).
     C:  the rest (IMH plateau (1+beta)/2, no ISH window).
+
+    A finite eta < 1 caps the infrastructure at beta+eta: B~ is the capped
+    IMH plateau and D~ an ISH window that the cap cuts into; below the MH
+    line (beta < 1/2 - eta) a capped plateau is useless and labelled A.
+    Conditions are tried in order and the first that holds wins.
     """
-    _check_range(beta, gamma)
-    if beta + gamma < 0.5:
-        return "A"
-    if beta + 2.0 * gamma < 1.0:
-        return "B"
-    if gamma >= 0.5 * (beta * beta - 3.0 * beta + 2.0):
-        return "D"
-    return "C"
-
-
-def _label_3d(beta: float, gamma: float, eta: float) -> str:
-    """Resolve the 3-D regime label; case split on eta, bullets in order."""
-    if eta == INF:
-        return classify_regime_2d(beta, gamma)
+    beta, gamma = np.broadcast_arrays(np.asarray(beta, dtype=float),
+                                      np.asarray(gamma, dtype=float))
+    ad_hoc = beta + gamma < 0.5
+    narrow = beta + 2.0 * gamma < 1.0
+    d_window = gamma >= 0.5 * (beta * beta - 3.0 * beta + 2.0)
+    label = np.select([ad_hoc, narrow, d_window], ["A", "B", "D"], "C")
+    if not eta < 1.0:  # eta >= 1, inf (and nan, which callers reject)
+        return label
     if eta < -0.5:
         # Backhaul so weak that BS-assisted schemes never reach the MH line.
-        return "A"
+        return np.full(label.shape, "A")
+    # Capped IMH plateau beta+eta; below the MH line it is useless.
+    capped = np.where(beta < 0.5 - eta, "A", "B~")
     if eta < 0.0:
-        return "A" if beta < 0.5 - eta else "B~"
+        return capped
+    d_tilde = gamma >= beta * beta + (eta - 2.0) * beta + 1.0
     if eta < 0.5:
-        if beta + gamma < 0.5:
-            return "A"
-        if gamma > eta and beta < 1.0 - 2.0 * eta:
-            # Capped IMH plateau beta+eta; below the MH line it is useless.
-            return "A" if beta < 0.5 - eta else "B~"
-        if gamma < eta and beta + 2.0 * gamma < 1.0:
-            return "B"
-        if (beta + 2.0 * gamma >= 1.0 and beta >= 1.0 - 2.0 * eta
-                and gamma >= beta * beta + (eta - 2.0) * beta + 1.0):
-            return "D~"
-        return classify_regime_2d(beta, gamma)
-    if eta < 1.0:
-        if gamma >= beta * beta + (eta - 2.0) * beta + 1.0:
-            return "D~"
-        return classify_regime_2d(beta, gamma)
-    # eta >= 1: the cap beta+eta exceeds every raw exponent.
-    return classify_regime_2d(beta, gamma)
+        return np.select(
+            [ad_hoc, (gamma > eta) & (beta < 1.0 - 2.0 * eta), (gamma < eta) & narrow,
+             ~narrow & (beta >= 1.0 - 2.0 * eta) & d_tilde],
+            ["A", capped, "B", "D~"], label)
+    return np.where(d_tilde, "D~", label)
+
+
+def classify_regime_2d(beta: float, gamma: float) -> str:
+    """Regime label A/B/C/D for unlimited backhaul (see ``regime_label_grid``)."""
+    _check_range(beta, gamma)
+    return regime_label_grid(beta, gamma, INF).item()
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +298,7 @@ def _breakpoints(label: str, beta: float, gamma: float, eta: float) -> tuple[Alp
     """Piecewise best-scheme segments of (2, inf) for a resolved label.
 
     The table only names each segment's scheme and formula; every exponent
-    value is evaluated by ``_tree``.
+    value is evaluated by ``best_scheme_grid``.
     """
     if label == "A":
         segs = [(2.0, 3.0, "HC", "2 - alpha/2"),
@@ -389,12 +384,11 @@ def classify_regime_3d(beta: float, gamma: float, eta: float,
     the report also carries the best scheme, exponent and limitation flags
     at that alpha.
     """
-    _check_range(beta, gamma)
-    if math.isnan(eta):
-        raise InvalidPointError("eta must be a real number or +-inf, got nan")
-    label3d = _label_3d(beta, gamma, eta)
+    label2d = classify_regime_2d(beta, gamma)
+    _check_eta(eta)
+    label3d = regime_label_grid(beta, gamma, eta).item()
     report = RegimeReport(
-        label2d=classify_regime_2d(beta, gamma),
+        label2d=label2d,
         label3d=label3d,
         alpha_breakpoints=_breakpoints(label3d, beta, gamma, eta),
     )
@@ -409,26 +403,27 @@ def classify_regime_3d(beta: float, gamma: float, eta: float,
 # Minimum backhaul exponent and limitation flags
 # ---------------------------------------------------------------------------
 
-def min_backhaul_exponent(beta: float, gamma: float) -> float:
+def min_backhaul_exponent_grid(beta, gamma):
     """Smallest eta that preserves the unlimited-backhaul exponent at all alpha.
 
     Regime A needs no backhaul at all (-inf).  In B the bottleneck is the
     per-BS antenna count (gamma); in C it is the (1-beta)/2 parallel-path
     plateau; in D the ISH segment peaks at alpha = 2(1-gamma)/beta, giving
-    gamma - (1-beta)(1-beta-gamma)/beta.
+    gamma - (1-beta)(1-beta-gamma)/beta.  Regime D needs beta > 0, so the
+    division by zero at beta = 0 is never selected.
     """
-    regime = classify_regime_2d(beta, gamma)
-    if regime == "A":
-        return NEG_INF
-    if regime == "B":
-        return gamma
-    if regime == "C":
-        return (1.0 - beta) / 2.0
-    # Regime D requires beta > 0: at beta = 0 the D condition
-    # gamma >= (beta^2 - 3 beta + 2)/2 = 1 cannot hold for gamma < 1.
-    if beta <= 0.0:  # pragma: no cover - unreachable by classification
-        raise InvalidPointError("regime D with beta = 0 should be impossible")
-    return gamma - (1.0 - beta) * (1.0 - beta - gamma) / beta
+    beta, gamma = np.asarray(beta, dtype=float), np.asarray(gamma, dtype=float)
+    label = regime_label_grid(beta, gamma, INF)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = gamma - (1.0 - beta) * (1.0 - beta - gamma) / beta
+    return np.select([label == "A", label == "B", label == "C"],
+                     [NEG_INF, gamma, (1.0 - beta) / 2.0], d)
+
+
+def min_backhaul_exponent(beta: float, gamma: float) -> float:
+    """Validated scalar view of ``min_backhaul_exponent_grid``."""
+    _check_range(beta, gamma)
+    return float(min_backhaul_exponent_grid(beta, gamma))
 
 
 @dataclass(frozen=True)
@@ -449,12 +444,13 @@ def limitation_flags(p: ScalingPoint) -> LimitationFlags:
 
 
 def _exponent_and_flags(p: ScalingPoint) -> tuple[float, str, LimitationFlags]:
-    """Exponent, best scheme and flags at ``p`` from one ``_tree`` call over
-    four points: ``p`` itself, eta = inf, beta + delta and gamma + delta."""
+    """Exponent, best scheme and flags at ``p`` from one ``best_scheme_grid``
+    call over four points: ``p`` itself, eta = inf, beta + delta and gamma +
+    delta."""
     d = SENSITIVITY_DELTA
-    e, code = _tree(p.alpha, p.beta + np.array([0.0, 0.0, d, 0.0]),
-                    p.gamma + np.array([0.0, 0.0, 0.0, d]),
-                    np.array([p.eta, INF, p.eta, p.eta]))
+    e, code = best_scheme_grid(p.alpha, p.beta + np.array([0.0, 0.0, d, 0.0]),
+                               p.gamma + np.array([0.0, 0.0, 0.0, d]),
+                               np.array([p.eta, INF, p.eta, p.eta]))
     scheme = tuple(SCHEME_CODES)[code[0]]
     return float(e[0]), scheme, LimitationFlags(
         dof_limited=scheme in ("ISH", "IMH") and bool(np.any(e[2:] > e[0])),

@@ -12,7 +12,13 @@ from hybridscale import cli
 from hybridscale.channel import ChannelRealization, ZeroDistanceError
 from hybridscale.cutset import bound_l1, bound_l2
 from hybridscale.protocols import SimConfig, SimResult
-from hybridscale.scaling import ScalingPoint, achievable_exponent, min_backhaul_exponent
+from hybridscale.scaling import (
+    ScalingPoint,
+    achievable_exponent,
+    classify_regime_2d,
+    classify_regime_3d,
+    min_backhaul_exponent,
+)
 from hybridscale.topology import (
     InfeasibleGeometryError,
     TopologyConfig,
@@ -81,14 +87,17 @@ def test_regime_map_eta_one_equals_infinite(tmp_path):
     assert _csv_rows(a) == _csv_rows(b)
 
 
-@pytest.mark.parametrize("eta", [-math.inf, -0.3, 0.2, 0.45, 0.7, math.inf], ids=str)
+@pytest.mark.parametrize(
+    "eta", [-math.inf, -0.5, -0.3, 0.0, 0.2, 0.45, 0.5, 0.7, 1.0, math.inf], ids=str)
 def test_regime_map_cells_equal_achievable_exponent(tmp_path, eta):
+    # each row's label and exponent cells are what `exponent` reports there
     out = tmp_path / "map.csv"
     assert cli.main(["regime-map", f"--eta={eta}", "-o", str(out)]) == 0
     cols, rows = _csv_rows(out)
     alphas = [float(c.removeprefix("e_alpha_")) for c in cols[3:]]
     assert rows
-    for beta, gamma, _, *cells in rows:
+    for beta, gamma, label, *cells in rows:
+        assert label == classify_regime_3d(float(beta), float(gamma), eta).label3d
         for alpha, cell in zip(alphas, cells):
             want, _ = achievable_exponent(
                 ScalingPoint(alpha, float(beta), float(gamma), eta))
@@ -102,13 +111,20 @@ def test_regime_map_rejects_bad_alpha(capsys, alpha):
     assert err == "error: reference alphas must be finite and exceed 2\n"
 
 
+def test_regime_map_rejects_nan_eta(capsys):
+    assert cli.main(["regime-map", "--eta", "nan"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: eta must be a real number or +-inf, got nan\n"
+
+
 def test_min_backhaul_matches_library(tmp_path):
     out = tmp_path / "mb.csv"
     assert cli.main(["min-backhaul", "--beta-grid", "0", "0.9", "7",
                      "--gamma-grid", "0", "0.9", "7", "-o", str(out)]) == 0
     cols, rows = _csv_rows(out)
     assert cols == ["beta", "gamma", "regime", "eta_star", "negligible"]
-    for beta, gamma, _, eta_star, negligible in rows:
+    for beta, gamma, regime, eta_star, negligible in rows:
+        assert regime == classify_regime_2d(float(beta), float(gamma))
         want = min_backhaul_exponent(float(beta), float(gamma))
         assert float(eta_star) == want
         assert negligible == str(not want > 0.0).lower()

@@ -90,7 +90,7 @@ def test_l1_groups_partition_destinations():
 
 def test_l2_wired_only_when_power_is_zero():
     topo, ch = _instance(1024, 16, 4, 3.0, 2)
-    b = bound_l2(topo, ch, SimConfig(p=0.0), r_bs=1.0)
+    b = bound_l2(topo, ch, SimConfig(p=0.0, r_bs=1.0))
     assert b.total == 8.0  # 8 of the 16 BSs sit strictly left of the midline
     assert b.wired_term == 8.0
     assert all(v == 0.0 for v in b.wireless_terms.values())
@@ -98,7 +98,7 @@ def test_l2_wired_only_when_power_is_zero():
 
 def test_l2_zero_backhaul_is_wireless_only():
     topo, ch = _instance(1024, 16, 4, 3.0, 3)
-    b = bound_l2(topo, ch, SimConfig(p=10.0), r_bs=0.0)
+    b = bound_l2(topo, ch, SimConfig(p=10.0, r_bs=0.0))
     assert b.wired_term == 0.0
     assert b.total == pytest.approx(sum(b.wireless_terms.values()), rel=1e-12)
     # left-half antennas are sources under L2, never destinations
@@ -107,20 +107,19 @@ def test_l2_zero_backhaul_is_wireless_only():
 
 def test_l2_wired_slope_is_left_bs_count():
     topo, ch = _instance(1024, 16, 4, 3.0, 4)
-    cfg = SimConfig(p=10.0)
-    t0 = bound_l2(topo, ch, cfg, r_bs=0.0).total
-    t1 = bound_l2(topo, ch, cfg, r_bs=1.0).total
-    t2 = bound_l2(topo, ch, cfg, r_bs=2.0).total
+    t0, t1, t2 = (bound_l2(topo, ch, SimConfig(p=10.0, r_bs=r)).total
+                  for r in (0.0, 1.0, 2.0))
     assert t1 - t0 == 8.0
     assert t2 - t1 == 8.0
-    with pytest.raises(ValueError):
-        bound_l2(topo, ch, cfg, r_bs=-1.0)
 
 
 def test_l2_defaults_to_config_backhaul():
     topo, ch = _instance(256, 4, 2, 3.0, 5)
-    cfg = SimConfig(p=10.0, r_bs=0.7)
-    assert bound_l2(topo, ch, cfg).total == bound_l2(topo, ch, cfg, r_bs=0.7).total
+    b0 = bound_l2(topo, ch, SimConfig(p=10.0, r_bs=0.0))
+    b = bound_l2(topo, ch, SimConfig(p=10.0, r_bs=0.7))
+    n_left = int((topo.bs_centers[:, 0] < topo.config.side / 2.0).sum())
+    assert b.wireless_terms == b0.wireless_terms
+    assert b.wired_term == n_left * 0.7
 
 
 def test_min_cut_is_the_smaller_total():
@@ -130,7 +129,8 @@ def test_min_cut_is_the_smaller_total():
         bound_l1(topo, ch, cfg).total, bound_l2(topo, ch, cfg).total
     )
     # infinite backhaul pushes L2 out of the way
-    assert min_cut(topo, ch, cfg, r_bs=math.inf) == bound_l1(topo, ch, cfg).total
+    unlimited = SimConfig(p=100.0, r_bs=math.inf)
+    assert min_cut(topo, ch, unlimited) == bound_l1(topo, ch, unlimited).total
 
 
 def test_l2_binds_under_scarce_backhaul():
