@@ -5,10 +5,12 @@ four schemes, R_BS = 0 and R_BS = inf with 16 BSs among them) and ``bound``
 (R_BS = inf with one BS on the midline, where the wired term is 0, and with
 16 BSs, where it is inf) at small sizes, and of the analytic subcommands
 ``regime-map`` (at seven backhaul exponents, among them the label edges
--0.5, 0 and 0.5), ``min-backhaul`` and ``exponent`` (text and JSON).  A
-kernel rewrite that changes a single floating-point rounding anywhere in
-MH, HC, IMH, ISH, the cut-set bounds, the exponent formulas or the regime
-labels fails here.
+-0.5, 0 and 0.5), ``min-backhaul`` and ``exponent`` (text and JSON, with
+its alpha-breakpoint table, among them one point on a rounded breakpoint and
+one whose capped plateau changes scheme).  A kernel rewrite that changes a
+single floating-point rounding anywhere in MH, HC, IMH, ISH, the cut-set
+bounds, the exponent formulas, the regime labels or the breakpoint table
+fails here.
 Regenerate a file only when an output change is intended, with the command
 in its parametrization below.
 """
@@ -61,7 +63,9 @@ CASES = {
     "min_backhaul.csv": ["min-backhaul"],
 }
 
-# exponent prints to stdout only; one point per best scheme
+# exponent prints to stdout only: one point per best scheme, one on a rounded
+# breakpoint (4 - 2(beta + gamma) is 2.5 on the default regime-map grid) and
+# one B~ point whose capped plateau belongs to ISH, not IMH
 _POINTS = {
     "a3_b0_g0_eta-inf": ["--alpha", "3", "--beta", "0", "--gamma", "0",
                          "--eta=-inf"],
@@ -71,6 +75,11 @@ _POINTS = {
                                "--eta=inf"],
     "a4_b0.5_g0.25_eta0.1": ["--alpha", "4", "--beta", "0.5", "--gamma", "0.25",
                              "--eta", "0.1"],
+    "a2.5_b0.6499999999999999_g0.09999999999999999_eta0.2": [
+        "--alpha", "2.5", "--beta", "0.6499999999999999",
+        "--gamma", "0.09999999999999999", "--eta", "0.2"],
+    "a2.6_b0.6_g0.35_eta0.1": ["--alpha", "2.6", "--beta", "0.6", "--gamma", "0.35",
+                               "--eta", "0.1"],
 }
 STDOUT_CASES = {
     **{f"exponent_{k}.txt": ["exponent", *v] for k, v in _POINTS.items()},
