@@ -37,6 +37,16 @@ class InvalidPointError(ValueError):
     """The operating point violates alpha > 2, beta/gamma range, or beta+gamma <= 1."""
 
 
+def _check_range(beta: float, gamma: float) -> None:
+    """Reject (beta, gamma) outside [0, 1) x [0, 1) or with beta + gamma > 1."""
+    if not (0.0 <= beta < 1.0):
+        raise InvalidPointError(f"beta must lie in [0, 1), got {beta}")
+    if not (0.0 <= gamma < 1.0):
+        raise InvalidPointError(f"gamma must lie in [0, 1), got {gamma}")
+    if beta + gamma > 1.0:
+        raise InvalidPointError(f"beta + gamma must not exceed 1, got {beta} + {gamma}")
+
+
 def _check_eta(eta: float) -> None:
     """Reject eta = nan; every real eta and +-inf is a valid backhaul exponent."""
     if math.isnan(eta):
@@ -66,14 +76,7 @@ class ScalingPoint:
     def __post_init__(self) -> None:
         if not (self.alpha > 2.0) or math.isinf(self.alpha) or math.isnan(self.alpha):
             raise InvalidPointError(f"alpha must be a finite number > 2, got {self.alpha}")
-        if not (0.0 <= self.beta < 1.0):
-            raise InvalidPointError(f"beta must lie in [0, 1), got {self.beta}")
-        if not (0.0 <= self.gamma < 1.0):
-            raise InvalidPointError(f"gamma must lie in [0, 1), got {self.gamma}")
-        if self.beta + self.gamma > 1.0:
-            raise InvalidPointError(
-                f"beta + gamma must not exceed 1, got {self.beta} + {self.gamma}"
-            )
+        _check_range(self.beta, self.gamma)
         _check_eta(self.eta)
 
     def with_eta(self, eta: float) -> "ScalingPoint":
@@ -91,44 +94,29 @@ class SchemeExponents:
     backhaul_cap: float
 
 
-# The elementary exponent formulas.  All higher-level code (scalar and grid
-# evaluation) goes through ``_terms`` so that equal quantities are computed by
-# the identical floating-point expression.  They take floats or broadcast
-# numpy arrays alike.
-
-def _e_mh() -> float:
-    return 0.5
-
-
-def _e_hc(alpha):
-    return 2.0 - alpha / 2.0
+# The six terms of the law, each a line in alpha: (formula, intercept, slope)
+# with value intercept - slope*alpha.  Every exponent, scalar or grid, and
+# every alpha-breakpoint table is evaluated from this one table; the lines
+# take floats or broadcast numpy arrays alike.  (1 + beta)/2 is written
+# beta + (1 - beta)/2 so that it is bit-identical to the backhaul cap
+# beta + eta* in the regime where eta* = (1 - beta)/2.
+_HC, _MH, _ISH, _BG, _HALF, _CAP = range(6)
 
 
-def _e_ish_raw(alpha, beta, gamma):
-    return 1.0 + gamma - alpha * (1.0 - beta) / 2.0
-
-
-def _e_imh_bg(beta, gamma):
-    return beta + gamma
-
-
-def _e_imh_half(beta):
-    # (1 + beta) / 2, written as beta + (1 - beta)/2 so it is bit-identical
-    # to the backhaul cap beta + eta* in the regime where eta* = (1 - beta)/2.
-    return beta + (1.0 - beta) / 2.0
-
-
-def _e_cap(beta, eta):
-    return beta + eta
+def _lines(beta, gamma, eta):
+    return (("2 - alpha/2", 2.0, 0.5),
+            ("1/2", 0.5, 0.0),
+            ("1 + gamma - alpha*(1 - beta)/2", 1.0 + gamma, (1.0 - beta) / 2.0),
+            ("beta + gamma", beta + gamma, 0.0),
+            ("(1 + beta)/2", beta + (1.0 - beta) / 2.0, 0.0),
+            ("beta + eta", beta + eta, 0.0))
 
 
 def _terms(alpha, beta, gamma, eta):
-    """(hc, ish_raw, imh_raw, backhaul_cap) as arrays; inputs broadcast."""
+    """The six term values as arrays, in ``_lines`` order; inputs broadcast."""
     alpha, beta, gamma, eta = (np.asarray(v, dtype=float)
                                for v in (alpha, beta, gamma, eta))
-    return (_e_hc(alpha), _e_ish_raw(alpha, beta, gamma),
-            np.minimum(_e_imh_bg(beta, gamma), _e_imh_half(beta)),
-            _e_cap(beta, eta))
+    return [c - s * alpha for _, c, s in _lines(beta, gamma, eta)]
 
 
 def scheme_exponents(p: ScalingPoint) -> SchemeExponents:
@@ -140,14 +128,38 @@ def scheme_exponents(p: ScalingPoint) -> SchemeExponents:
     exponent; backhaul_cap = beta + eta is what m backhaul links of rate
     n^eta can carry.
     """
-    hc, ish, imh, cap = map(float, _terms(p.alpha, p.beta, p.gamma, p.eta))
-    return SchemeExponents(mh=_e_mh(), hc=hc, ish_raw=ish, imh_raw=imh,
+    hc, mh, ish, bg, half, cap = map(float, _terms(p.alpha, p.beta, p.gamma, p.eta))
+    return SchemeExponents(mh=mh, hc=hc, ish_raw=ish, imh_raw=min(bg, half),
                            backhaul_cap=cap)
 
 
 # ---------------------------------------------------------------------------
 # Achievable exponent and matching upper bound
 # ---------------------------------------------------------------------------
+
+#: Scheme code of each term in ``_lines`` order.  The cap term has none of its
+#: own: a capped plateau is credited to the scheme of the raw term it caps.
+_TERM_SCHEME = np.array([SCHEME_CODES[s] for s in ("HC", "MH", "ISH", "IMH", "IMH")])
+
+
+def _select(alpha, beta, gamma, eta):
+    """(exponent, scheme code, term index) of max{min{max{ish_raw, imh_raw},
+    beta+eta}, 1/2, 2-alpha/2}, imh_raw = min{beta+gamma, (1+beta)/2}.
+
+    The term is the ``_lines`` entry whose value the exponent is.  On exact
+    ties the infrastructure term beats 1/2, which beats 2 - alpha/2; a raw
+    term beats the cap; and (1+beta)/2 beats beta+gamma.
+    """
+    hc, mh, ish, bg, half, cap = _terms(alpha, beta, gamma, eta)
+    imh = np.minimum(bg, half)
+    raw = np.maximum(ish, imh)
+    infra = np.minimum(raw, cap)
+    e = np.maximum(np.maximum(infra, mh), hc)
+    raw_term = np.where(imh >= ish, np.where(bg < half, _BG, _HALF), _ISH)
+    term = np.where(infra == e, np.where(cap < raw, _CAP, raw_term),
+                    np.where(e == mh, _MH, _HC))
+    return e, _TERM_SCHEME[np.where(term == _CAP, raw_term, term)], term
+
 
 def best_scheme_grid(alpha, beta, gamma, eta):
     """(exponent, scheme code) of max{min{max{ish_raw, imh_raw}, beta+eta}, 1/2,
@@ -156,15 +168,7 @@ def best_scheme_grid(alpha, beta, gamma, eta):
     The infrastructure branch (capped or not) is credited to the scheme with
     the larger raw exponent; exact ties go to the higher SCHEME_CODES code.
     """
-    hc, ish, imh, cap = _terms(alpha, beta, gamma, eta)
-    infra = np.minimum(np.maximum(ish, imh), cap)
-    e = np.maximum(np.maximum(infra, _e_mh()), hc)
-    scheme = np.where(
-        infra == e,
-        np.where(imh >= ish, SCHEME_CODES["IMH"], SCHEME_CODES["ISH"]),
-        np.where(e == _e_mh(), SCHEME_CODES["MH"], SCHEME_CODES["HC"]),
-    )
-    return e, scheme
+    return _select(alpha, beta, gamma, eta)[:2]
 
 
 def achievable_exponent(p: ScalingPoint) -> tuple[float, str]:
@@ -205,9 +209,9 @@ def achievable_exponent_grid(alpha, beta, gamma, eta):
 
 def upper_bound_exponent_grid(alpha, beta, gamma, eta):
     """Vectorized cut-set bound, composed as min(wireless cut, backhaul cut)."""
-    hc, ish, imh, cap = _terms(alpha, beta, gamma, eta)
-    adhoc = np.maximum(_e_mh(), hc)
-    wireless_cut = np.maximum(np.maximum(ish, imh), adhoc)
+    hc, mh, ish, bg, half, cap = _terms(alpha, beta, gamma, eta)
+    adhoc = np.maximum(mh, hc)
+    wireless_cut = np.maximum(np.maximum(ish, np.minimum(bg, half)), adhoc)
     backhaul_cut = np.maximum(cap, adhoc)
     return np.minimum(wireless_cut, backhaul_cut)
 
@@ -215,11 +219,6 @@ def upper_bound_exponent_grid(alpha, beta, gamma, eta):
 # ---------------------------------------------------------------------------
 # Operating-regime classification
 # ---------------------------------------------------------------------------
-
-def _check_range(beta: float, gamma: float) -> None:
-    if not (0.0 <= beta < 1.0) or not (0.0 <= gamma < 1.0) or beta + gamma > 1.0:
-        raise InvalidPointError(f"invalid (beta, gamma) = ({beta}, {gamma})")
-
 
 def regime_label_grid(beta, gamma, eta: float):
     """Regime labels of array (beta, gamma) at one scalar eta, as a str array.
@@ -277,7 +276,10 @@ class AlphaInterval:
     """One segment [alpha_min, alpha_max) of the best-scheme piecewise law.
 
     The first interval of a regime is open at alpha_min = 2 (alpha > 2 by
-    assumption); every other interval is closed at its left endpoint.
+    assumption); every other interval is closed at its left endpoint.  Every
+    alpha in the segment gets ``scheme`` as the best scheme of
+    ``achievable_exponent``, and ``formula`` evaluated there equals its
+    exponent bit for bit.
     """
 
     alpha_min: float
@@ -294,58 +296,50 @@ class AlphaInterval:
         }
 
 
-def _breakpoints(label: str, beta: float, gamma: float, eta: float) -> tuple[AlphaInterval, ...]:
-    """Piecewise best-scheme segments of (2, inf) for a resolved label.
+#: Floats sampled on each side of every crossing of two ``_lines``, and
+#: samples per step when a piece change is narrowed down.
+_NEAR, _SAMPLES = 16, 64
 
-    The table only names each segment's scheme and formula; every exponent
-    value is evaluated by ``best_scheme_grid``.
+
+def _breakpoints(beta: float, gamma: float, eta: float) -> tuple[AlphaInterval, ...]:
+    """Segments of (2, inf) on which the tree keeps one (scheme, formula).
+
+    The piece can only change near a crossing of two ``_lines``.  The tree
+    is evaluated once on every float within ``_NEAR`` of each crossing, on
+    the first alpha > 2, between each two crossings and past the last; a
+    piece change between two samples that are not adjacent floats is
+    narrowed until they are.  Each breakpoint is the first float of its
+    new piece.
     """
-    if label == "A":
-        segs = [(2.0, 3.0, "HC", "2 - alpha/2"),
-                (3.0, INF, "MH", "1/2")]
-    elif label == "B":
-        x = 4.0 - 2.0 * beta - 2.0 * gamma
-        segs = [(2.0, x, "HC", "2 - alpha/2"),
-                (x, INF, "IMH", "beta + gamma")]
-    elif label == "C":
-        x = 3.0 - beta
-        segs = [(2.0, x, "HC", "2 - alpha/2"),
-                (x, INF, "IMH", "(1 + beta)/2")]
-    elif label == "D":
-        x1 = 2.0 * (1.0 - gamma) / beta
-        x2 = 1.0 + 2.0 * gamma / (1.0 - beta)
-        segs = [(2.0, x1, "HC", "2 - alpha/2"),
-                (x1, x2, "ISH", "1 + gamma - alpha*(1 - beta)/2"),
-                (x2, INF, "IMH", "(1 + beta)/2")]
-    elif label == "B~":
-        x = 4.0 - 2.0 * beta - 2.0 * eta
-        segs = [(2.0, x, "HC", "2 - alpha/2"),
-                (x, INF, "IMH", "beta + eta")]
-    elif label == "D~":
-        x1 = 4.0 - 2.0 * beta - 2.0 * eta
-        x2 = 2.0 + 2.0 * (gamma - eta) / (1.0 - beta)
-        x3 = 1.0 + 2.0 * gamma / (1.0 - beta)
-        segs = [(2.0, x1, "HC", "2 - alpha/2"),
-                (x1, x2, "ISH", "beta + eta"),
-                (x2, x3, "ISH", "1 + gamma - alpha*(1 - beta)/2"),
-                (x3, INF, "IMH", "(1 + beta)/2")]
-    else:  # pragma: no cover - labels are produced internally
-        raise ValueError(f"unknown regime label {label!r}")
+    lines = _lines(beta, gamma, eta)
+    _, c, s = map(np.array, zip(*lines))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.unique((c[:, None] - c) / (s[:, None] - s))
+    edges = np.append(np.nextafter(2.0, INF), x[(x > 2.0) & np.isfinite(2.0 * x)])
+    near = edges[1:].view(np.int64)[:, None] + np.arange(-_NEAR, _NEAR + 1)
+    alpha = np.sort(np.concatenate([edges, (edges[:-1] + edges[1:]) / 2.0,
+                                    [2.0 * edges[-1]], near.ravel().view(float)]))
+    alpha = alpha[alpha >= edges[0]]
 
-    kept = []
-    for lo, hi, scheme, formula in segs:
-        lo = max(lo, 2.0)
-        if hi <= lo:
-            continue  # segment pushed out of the alpha > 2 range
-        kept.append((lo, hi, scheme, formula))
-    # Stitch neighbours so the intervals tile (2, inf) with no gaps even if
-    # an inner segment degenerated to a point.
-    out = []
-    for k, (lo, hi, scheme, formula) in enumerate(kept):
-        if k + 1 < len(kept):
-            hi = kept[k + 1][0]
-        out.append(AlphaInterval(lo, hi, scheme, formula))
-    return tuple(out)
+    def pieces(alpha):
+        _, scheme, term = _select(alpha, beta, gamma, eta)
+        return scheme * len(lines) + term
+
+    piece = pieces(alpha)
+    k = np.flatnonzero(piece[1:] != piece[:-1])
+    # lo never gives the new piece and hi does
+    lo, hi, new = alpha[k], alpha[k + 1], piece[k + 1, None]
+    rows, steps = np.arange(k.size), np.arange(_SAMPLES + 1)
+    while np.any(np.nextafter(lo, INF) != hi):
+        width = (hi.view(np.int64) - lo.view(np.int64))[:, None] / _SAMPLES
+        cand = (lo.view(np.int64)[:, None] + (steps * width).astype(np.int64)).view(float)
+        cand[:, -1] = hi
+        first = np.argmax(pieces(cand) == new, axis=1)
+        lo, hi = cand[rows, first - 1], cand[rows, first]
+    bounds = [2.0, *hi.tolist(), INF]
+    segs = zip(bounds, bounds[1:], piece[np.append(0, k + 1)].tolist())
+    return tuple(AlphaInterval(a, b, tuple(SCHEME_CODES)[p // len(lines)],
+                               lines[p % len(lines)][0]) for a, b, p in segs)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +384,7 @@ def classify_regime_3d(beta: float, gamma: float, eta: float,
     report = RegimeReport(
         label2d=label2d,
         label3d=label3d,
-        alpha_breakpoints=_breakpoints(label3d, beta, gamma, eta),
+        alpha_breakpoints=_breakpoints(beta, gamma, eta),
     )
     if alpha is None:
         return report

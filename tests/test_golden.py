@@ -65,7 +65,7 @@ CASES = {
 
 # exponent prints to stdout only: one point per best scheme, one on a rounded
 # breakpoint (4 - 2(beta + gamma) is 2.5 on the default regime-map grid) and
-# one B~ point whose capped plateau belongs to ISH, not IMH
+# one B~ point whose capped plateau ISH holds before IMH does
 _POINTS = {
     "a3_b0_g0_eta-inf": ["--alpha", "3", "--beta", "0", "--gamma", "0",
                          "--eta=-inf"],

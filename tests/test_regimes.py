@@ -8,12 +8,6 @@ from hybridscale.scaling import (
     NEG_INF,
     InvalidPointError,
     ScalingPoint,
-    _e_cap,
-    _e_hc,
-    _e_imh_bg,
-    _e_imh_half,
-    _e_ish_raw,
-    _e_mh,
     achievable_exponent,
     classify_regime_2d,
     classify_regime_3d,
@@ -176,28 +170,43 @@ def test_breakpoints_partition_positive_axis():
             assert left.alpha_min < left.alpha_max
 
 
-# The printed formula text of a segment, read as a function of (a, b, g, h).
+# The printed formula text of a segment, read as a function of (a, b, g, h),
+# in the float form of the paper's formulas.
 _FORMULAS = {
-    "2 - alpha/2": lambda a, b, g, h: _e_hc(a),
-    "1/2": lambda a, b, g, h: _e_mh(),
-    "beta + gamma": lambda a, b, g, h: _e_imh_bg(b, g),
-    "(1 + beta)/2": lambda a, b, g, h: _e_imh_half(b),
-    "1 + gamma - alpha*(1 - beta)/2": lambda a, b, g, h: _e_ish_raw(a, b, g),
-    "beta + eta": lambda a, b, g, h: _e_cap(b, h),
+    "2 - alpha/2": lambda a, b, g, h: 2.0 - a / 2.0,
+    "1/2": lambda a, b, g, h: 0.5,
+    "beta + gamma": lambda a, b, g, h: b + g,
+    "(1 + beta)/2": lambda a, b, g, h: b + (1.0 - b) / 2.0,
+    "1 + gamma - alpha*(1 - beta)/2": lambda a, b, g, h: 1.0 + g - a * (1.0 - b) / 2.0,
+    "beta + eta": lambda a, b, g, h: b + h,
 }
 
 
 def test_breakpoint_formula_matches_achievable():
-    # The printed piecewise table and the pointwise max/min tree are the same law.
+    # The printed piecewise table and the pointwise max/min tree are the same
+    # law: every probed alpha of a segment gets its scheme, and its formula
+    # gives the exponent bit for bit.  Random points are also swept in alpha;
+    # the default regime-map grid has rounded linspace values (such as
+    # 0.6499999999999999, where 4 - 2(beta + gamma) rounds to 2.5), and at
+    # (0.6, 0.35, 0.1) ISH holds the capped plateau before IMH does.
     _, beta, gamma, eta = _random_valid_points(150, seed=17)
-    alphas = np.linspace(2.0001, 12.0, 241)
-    for b, g, h in zip(beta, gamma, eta):
+    sweep = list(np.linspace(2.0001, 12.0, 241))
+    points = [(b, g, h, sweep) for b, g, h in zip(beta, gamma, eta)]
+    grid = np.linspace(0.0, 0.95, 20)
+    for h in (NEG_INF, -0.5, -0.3, 0.0, 0.1, 0.2, 0.5, 0.7, INF):
+        points += [(b, g, h, []) for b in grid for g in grid if b + g <= 1.0]
+    points += [(0.6499999999999999, 0.09999999999999999, 0.2, []), (0.6, 0.35, 0.1, [])]
+    for b, g, h, alphas in points:
         b, g, h = float(b), float(g), float(h)
         segs = classify_regime_3d(b, g, h).alpha_breakpoints
-        for a in alphas:
-            a = float(a)
-            e, _ = achievable_exponent(ScalingPoint(a, b, g, h))
+        probes = [a for s in segs for a in (
+            max(s.alpha_min, np.nextafter(2.0, 3.0)),
+            (s.alpha_min + min(s.alpha_max, 2.0 * s.alpha_min)) / 2.0,
+            np.nextafter(s.alpha_max, 2.0))]
+        for a in map(float, probes + alphas):
+            e, scheme = achievable_exponent(ScalingPoint(a, b, g, h))
             seg = next(s for s in segs if s.alpha_min <= a < s.alpha_max)
+            assert seg.scheme == scheme, (b, g, h, a, seg)
             assert _FORMULAS[seg.formula](a, b, g, h) == e, (b, g, h, a, seg)
 
 
