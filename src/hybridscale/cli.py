@@ -26,6 +26,7 @@ Bound CSV columns: n,m,l,R_BS,alpha,seed,cut,D1,D2,D3,wired,total.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -167,7 +168,9 @@ def _grid(spec, name: str) -> np.ndarray:
 
 
 def _fmt(v) -> str:
-    """Stable cell text: repr for floats, str otherwise, '' for None."""
+    """Stable cell text: the shortest repr for floats, str otherwise, '' for
+    None.  In a CSV column whose cells are all floats, ``_fmt_column`` computes
+    that repr once per distinct bit pattern of the column."""
     if v is None:
         return ""
     if isinstance(v, float):
@@ -175,8 +178,26 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _fmt_column(cells) -> list[str]:
+    """``_fmt`` of each cell.  A column of Python floats is formatted once per
+    distinct bit pattern, not per distinct value: 0.0 == -0.0 but their
+    texts differ, and nan != nan.  Any other column goes through ``_fmt``
+    cell by cell."""
+    if set(map(type, cells)) != {float}:
+        return [_fmt(c) for c in cells]
+    bits, where = np.unique(np.array(cells, dtype=float).view(np.int64),
+                            return_inverse=True)
+    texts = np.array([float.__repr__(v) for v in bits.view(float).tolist()],
+                     dtype=object)
+    return texts[where].tolist()
+
+
 def _emit(opts: dict, header: dict, columns, rows, trailers, extra: dict) -> None:
-    """Write one table as CSV (default) or a JSON mirror of the same values."""
+    """Write one table as CSV (default) or a JSON mirror of the same values.
+
+    The CSV body is formatted column by column (``_fmt_column``): a float
+    cell is its shortest repr, computed once per distinct bit pattern of its
+    column."""
     header = dict(header)
     header["schema_version"] = SCHEMA_VERSION
     header["tool"] = f"hybridscale {__version__}"
@@ -191,7 +212,8 @@ def _emit(opts: dict, header: dict, columns, rows, trailers, extra: dict) -> Non
     else:
         lines = [f"# {k}={_fmt(header[k])}" for k in sorted(header)]
         lines.append(",".join(columns))
-        lines.extend(",".join(_fmt(c) for c in row) for row in rows)
+        cells = [_fmt_column(col) for col in zip(*rows)]
+        lines.extend(map(",".join, zip(*cells)))
         lines.extend(trailers)
         text = "\n".join(lines) + "\n"
     if opts["output"]:
@@ -443,7 +465,10 @@ def _add_grid_flags(sp: argparse.ArgumentParser) -> None:
                     metavar=("MIN", "MAX", "STEPS"))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared by every later one;
+    parsing keeps all per-call state in the returned namespace."""
     parser = argparse.ArgumentParser(
         prog="hybridscale",
         description=__doc__,

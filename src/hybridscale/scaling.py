@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -348,15 +349,25 @@ def _breakpoints(beta: float, gamma: float, eta: float) -> tuple[AlphaInterval, 
 
 @dataclass(frozen=True)
 class RegimeReport:
-    """Classification of an operating point plus its piecewise law in alpha."""
+    """Classification of an operating point plus its piecewise law in alpha.
+
+    The law (``alpha_breakpoints``) is derived from the stored (beta, gamma,
+    eta) on first read, so callers that only want the labels never build it.
+    """
 
     label2d: str
     label3d: str
-    alpha_breakpoints: tuple[AlphaInterval, ...]
+    beta: float
+    gamma: float
+    eta: float
     best_scheme: str | None = None
     exponent: float | None = None
     dof_limited: bool | None = None
     infra_limited: bool | None = None
+
+    @cached_property
+    def alpha_breakpoints(self) -> tuple[AlphaInterval, ...]:
+        return _breakpoints(self.beta, self.gamma, self.eta)
 
     def to_dict(self) -> dict:
         return {
@@ -381,11 +392,8 @@ def classify_regime_3d(beta: float, gamma: float, eta: float,
     label2d = classify_regime_2d(beta, gamma)
     _check_eta(eta)
     label3d = regime_label_grid(beta, gamma, eta).item()
-    report = RegimeReport(
-        label2d=label2d,
-        label3d=label3d,
-        alpha_breakpoints=_breakpoints(beta, gamma, eta),
-    )
+    report = RegimeReport(label2d=label2d, label3d=label3d,
+                          beta=beta, gamma=gamma, eta=eta)
     if alpha is None:
         return report
     e, scheme, flags = _exponent_and_flags(ScalingPoint(alpha, beta, gamma, eta))

@@ -352,3 +352,86 @@ def test_tiny_network_with_no_crossing_flow_is_not_a_violation(tmp_path):
     assert cli.main(["simulate", "--sizes", "4", "--seeds", "10", "--alpha", "6",
                      "--beta", "0", "--gamma", "0.1", "--eta=-1", "--power", "1",
                      "-o", str(out)]) == 0
+
+
+def test_import_builds_no_parser():
+    code = ("import hybridscale.cli as c; "
+            "print(c.build_parser.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "0"
+
+
+def test_repeated_main_calls_share_no_state(tmp_path, capsys):
+    # one process, one cached parser: each call's exit code, stdout and
+    # stderr equal those of the same call made alone with a fresh parser
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "alpha": 3.0, "beta": 0.3,
+                               "gamma": 0.3, "eta": 0.2, "json": True}))
+    calls = [
+        ["exponent", "--alpha", "x"],
+        ["--config", str(cfg), "exponent"],
+        ["exponent", "--alpha", "4", "--beta", "0.5", "--gamma", "0.25",
+         "--eta", "inf"],
+        ["regime-map", "--eta", "0.2", "--beta-grid", "0", "0.9", "4",
+         "--gamma-grid", "0", "0.9", "4"],
+    ]
+
+    def run(argv):
+        rc = cli.main(argv)
+        out, err = capsys.readouterr()
+        return rc, out, err
+
+    cli.build_parser.cache_clear()
+    shared = [run(argv) for argv in calls]
+    assert cli.build_parser.cache_info().hits == len(calls) - 1
+    alone = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        alone.append(run(argv))
+    assert shared == alone
+    assert [rc for rc, _, _ in shared] == [2, 0, 0, 0]
+    assert "invalid float value: 'x'" in shared[0][2]
+    assert json.loads(shared[1][1])["point"]["eta"] == 0.2
+    # the flags-only run sees neither the config's point nor its --json
+    assert shared[2][1].startswith("point: alpha=4.0 beta=0.5 gamma=0.25 eta=inf\n")
+    assert shared[3][1].startswith("# alphas=2.5 3.0 5.0\n")
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 0.1 + 0.2]
+
+
+@pytest.mark.parametrize("cells", [
+    _SPECIAL_FLOATS * 3 + _SPECIAL_FLOATS[::-1],
+    [-math.nan, math.nan, -0.0, 0.0, -0.0, -5e-324, 5e-324],
+    [0.5, None, 0.25, None, 0.5],               # simulate's stage cells
+    [1.5, 2.5, "MIN", 1.5, 2.5, "MIN"],         # bound's cut column
+    [None, None],
+    [256, 512, 256],
+    ["A", "B~", "A"],
+    [np.float64(0.5), np.float64(0.5), 0.5],    # repr, not float.__repr__
+    [True, 1.0, False],
+], ids=["special", "signed", "stages", "min", "none", "int", "str", "np", "bool"])
+def test_column_formatter_matches_per_cell_fmt(cells):
+    assert cli._fmt_column(cells) == [cli._fmt(c) for c in cells]
+
+
+def test_emit_csv_body_matches_per_cell_fmt(capsys):
+    sim = [
+        ["MH", 256, 1, 1, math.inf, 3.0, 0, 0.0, None, None, None],
+        ["IMH", 256, 4, 2, 1.0, 3.0, 0, -0.0, -0.0, math.nan, 5e-324],
+        ["MIN_CUT", 256, 1, 1, math.inf, 3.0, 0, 1e16, None, None, None],
+    ]
+    bound = [
+        [256, 4, 2, 1.0, 3.0, 0, 0.3, 0.1, 0.2, 0.0, 0.5, 0.8],
+        [256, 4, 2, 1.0, 3.0, 0, 0.7, 0.1, 0.2, -0.0, 0.5, 0.30000000000000004],
+        [256, 4, 2, 1.0, 3.0, 0, "MIN", None, None, None, None, 0.30000000000000004],
+    ]
+    for columns, rows in ((cli.SIM_COLUMNS, sim), (cli.BOUND_COLUMNS, bound),
+                          (cli.BOUND_COLUMNS, [])):
+        cli._emit({"format": "csv", "output": None}, {"command": "test"},
+                  columns, rows, ["# trailer"], {})
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-len(rows) - 2] == ",".join(columns)
+        assert lines[-len(rows) - 1:] == [",".join(map(cli._fmt, r)) for r in rows] + [
+            "# trailer"]
