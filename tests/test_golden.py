@@ -1,7 +1,9 @@
 """Golden outputs: the CLI reproduces committed output files byte for byte.
 
 The files under ``tests/golden/`` pin the exact bytes of ``simulate`` (all
-four schemes, R_BS = 0 and R_BS = inf with 16 BSs among them) and ``bound``
+four schemes, R_BS = 0 and R_BS = inf with 16 BSs among them, and IMH and ISH
+at a regime-D point with 25 BSs of 5 antennas, more than the 4 on each
+boundary, so interior antennas and cells of unequal size occur) and ``bound``
 (R_BS = inf with one BS on the midline, where the wired term is 0, and with
 16 BSs, where it is inf) at small sizes, and of the analytic subcommands
 ``regime-map`` (at seven backhaul exponents, among them the label edges
@@ -42,6 +44,12 @@ CASES = {
         "simulate", *_SIZES_SEEDS,
         "--alpha", "3", "--beta", "0.5", "--gamma", "0.25", f"--eta={eta}",
     ] for eta in ("-inf", "inf")},
+    # regime D: m = 25 and l = 5 at n = 256, m = 36 and l = 6 at n = 512
+    "simulate_a2.4_b0.6_g0.3_etainf_ish.csv": [
+        "simulate", *_SIZES_SEEDS,
+        "--alpha", "2.4", "--beta", "0.6", "--gamma", "0.3", "--eta=inf",
+        "--schemes", "IMH", "ISH", "--power", "10",
+    ],
     "bound_a3_b0.3_g0.3_eta0.2.csv": [
         "bound", *_SIZES_SEEDS,
         "--alpha", "3", "--beta", "0.3", "--gamma", "0.3", "--eta", "0.2",
