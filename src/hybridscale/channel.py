@@ -58,11 +58,30 @@ def _distances(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     ``sqrt(dx*dx + dy*dy)`` equals ``np.linalg.norm`` over the stacked
     differences bit for bit (its length-2 reduction is that very sum), so
     every caller's output depends on keeping this form; ``np.hypot`` rounds
-    differently.
+    differently.  Each step works in place, so a call allocates two
+    (rows, cols) arrays.
     """
     dx = rows[:, None, 0] - cols[None, :, 0]
     dy = rows[:, None, 1] - cols[None, :, 1]
-    return np.sqrt(dx * dx + dy * dy)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
+
+
+def path_gains(r: np.ndarray, theta: np.ndarray, alpha: float) -> np.ndarray:
+    """Complex gains exp(j*theta) * r^(-alpha/2) from distances and phases.
+
+    The real and imaginary parts are cos(theta) and sin(theta) times the
+    amplitude, written into one preallocated array, with no complex
+    exponential or complex product formed.  The bits equal those of the exp
+    form, which ``tests/oracles.py`` keeps as the reference.
+    """
+    amp = r ** (-alpha / 2.0)
+    out = np.empty(np.broadcast_shapes(np.shape(r), np.shape(theta)), dtype=complex)
+    np.multiply(np.cos(theta), amp, out=out.real)
+    np.multiply(np.sin(theta), amp, out=out.imag)
+    return out
 
 
 def _check_distances(r: np.ndarray) -> np.ndarray:
@@ -96,7 +115,7 @@ class ChannelRealization:
         if r == 0.0:
             raise ZeroDistanceError("coincident endpoints give an infinite gain")
         theta = float(_phase(self.phase_seed, _KIND_NODE, i, k))
-        return complex(np.exp(1j * theta) * r ** (-self.alpha / 2.0))
+        return complex(path_gains(r, theta, self.alpha))
 
     def node_gain_matrix(self, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
         """Dense (len(rx), len(tx)) matrix of node-to-node gains."""
@@ -105,7 +124,7 @@ class ChannelRealization:
         pos = self.topology.node_positions
         r = _check_distances(_distances(pos[rx], pos[tx]))
         theta = _phase(self.phase_seed, _KIND_NODE, tx[None, :], rx[:, None])
-        return np.exp(1j * theta) * r ** (-self.alpha / 2.0)
+        return path_gains(r, theta, self.alpha)
 
     # -- node-to-BS and BS-to-node -----------------------------------------
 
@@ -125,13 +144,18 @@ class ChannelRealization:
         """(N, l) matrix; row j is the downlink row vector to nodes[j]."""
         return self._link(_KIND_DOWNLINK, bs, nodes)
 
-    def _link(self, kind: np.uint64, bs: int, nodes: np.ndarray) -> np.ndarray:
-        """(N, l) gains between nodes and the antennas of BS ``bs``, phases by kind."""
+    def _link(self, kind: np.uint64, bs, nodes: np.ndarray, r=None) -> np.ndarray:
+        """(N, l) gains between nodes and the antennas of BS ``bs``, phases by kind.
+
+        ``bs`` is one BS or an (N, 1) array of one BS per node; ``r`` passes
+        the (N, l) antenna distances when the caller already has them.
+        """
         nodes = np.asarray(nodes, dtype=np.int64)
-        r = self.antenna_distances(bs, nodes)
+        if r is None:
+            r = self.antenna_distances(bs, nodes)
         t = np.arange(self.topology.l, dtype=np.int64)
         theta = _phase(self.phase_seed, kind, nodes[:, None], bs, t[None, :])
-        return np.exp(1j * theta) * r ** (-self.alpha / 2.0)
+        return path_gains(r, theta, self.alpha)
 
     # -- distance/magnitude helpers (no phases) -----------------------------
 

@@ -181,9 +181,12 @@ def _fmt(v) -> str:
 def _fmt_column(cells) -> list[str]:
     """``_fmt`` of each cell.  A column of Python floats is formatted once per
     distinct bit pattern, not per distinct value: 0.0 == -0.0 but their
-    texts differ, and nan != nan.  Any other column goes through ``_fmt``
-    cell by cell."""
-    if set(map(type, cells)) != {float}:
+    texts differ, and nan != nan.  A column of Python strs is its own text;
+    any other column goes through ``_fmt`` cell by cell."""
+    kinds = set(map(type, cells))
+    if kinds == {str}:
+        return list(cells)
+    if kinds != {float}:
         return [_fmt(c) for c in cells]
     bits, where = np.unique(np.array(cells, dtype=float).view(np.int64),
                             return_inverse=True)
@@ -245,7 +248,7 @@ def _cmd_exponent(args: argparse.Namespace) -> int:
     })
     p = _point(opts)
     report = classify_regime_3d(p.beta, p.gamma, p.eta, alpha=p.alpha)
-    eta_star = min_backhaul_exponent(p.beta, p.gamma)
+    eta_star = min_backhaul_exponent(p.beta, p.gamma, report.label2d)
     if opts["json"]:
         blob = report.to_dict()
         blob["min_backhaul_exponent"] = eta_star
@@ -316,11 +319,11 @@ def _cmd_min_backhaul(args: argparse.Namespace) -> int:
         "output": None, "format": "csv",
     })
     beta, gamma, grids = _sweep(opts)
-    eta_star = min_backhaul_exponent_grid(beta, gamma)
+    labels = regime_label_grid(beta, gamma, INF)
+    eta_star = min_backhaul_exponent_grid(beta, gamma, labels)
     negligible = ~(eta_star > 0.0)  # covers eta* = -inf as well
     rows = [[b, g, label, e, str(neg).lower()] for b, g, label, e, neg in
-            zip(beta.tolist(), gamma.tolist(),
-                regime_label_grid(beta, gamma, INF).tolist(),
+            zip(beta.tolist(), gamma.tolist(), labels.tolist(),
                 eta_star.tolist(), negligible.tolist())]
     _emit(opts, {"command": "min-backhaul", **grids},
           ["beta", "gamma", "regime", "eta_star", "negligible"], rows, [], {})

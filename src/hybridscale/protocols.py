@@ -8,7 +8,9 @@ power P, per-BS power nP/m.  Schemes:
          processor and back, multihop from the target BS to the destination;
          min{l, ceil(sqrt(n/m))} parallel paths per routing cell.
 * ISH  - one-shot uplink per cell decoded by MMSE-SIC, wired hops, downlink
-         computed through uplink-downlink duality.
+         computed through uplink-downlink duality; one pass over the BSs
+         takes each BS's antenna distances once, and the SIC of every cell
+         runs in one stack of cells zero-padded to the largest.
 * HC   - single-level estimate of hierarchical cooperation (intra-cluster
          exchange, long-range MIMO, quantize-and-collect); labeled as an
          estimate, not the recursive scheme.
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, _U, _distances, _hash
+from .channel import _KIND_DOWNLINK, _KIND_UPLINK, ChannelRealization, _U, _distances, _hash
 from .scaling import SCHEME_CODES
 from .topology import Topology, grid_cell
 
@@ -327,24 +329,51 @@ def simulate_imh(topo: Topology, ch: ChannelRealization, cfg: SimConfig) -> SimR
 # ISH
 # ---------------------------------------------------------------------------
 
-def _sic_rates(h_cell: np.ndarray, noise_inv: np.ndarray, power: float) -> np.ndarray:
+_SIC_BLOCK = 1 << 14  # covariance entries updated at once, keeping them in cache
+
+
+def _sic_rates(h_cells: np.ndarray, noise_inv: np.ndarray,
+               power: float | np.ndarray) -> np.ndarray:
     """Per-user MMSE-SIC rates, ascending decode order over columns.
 
-    ``h_cell`` is (l, k): user i is decoded with users > i still present, so
-    rates are computed from the last column down while accumulating decoded
-    users into the effective covariance via rank-1 inverse updates.
+    ``h_cells`` is a stack of cells (m, l, K) with inverse noise covariances
+    (m, l, l) and one power per cell, or a single (l, k) cell with its
+    (l, l) inverse and one power.  User i of a cell is decoded with users
+    > i still present, so rates are computed from the last column down
+    while accumulating decoded users into each cell's effective covariance
+    via rank-1 inverse updates.  A cell with fewer than K users is
+    zero-padded at the end and gets rate 0 there.  Cells are taken in
+    blocks of similar user counts, about ``_SIC_BLOCK`` covariance entries
+    a block, and each block runs its rank-1 updates one column index at a
+    time for all its cells at once.  Returns (m, K) rates, or (k,) for a
+    single cell.
     """
-    l, kk = h_cell.shape
-    minv = noise_inv.copy()
-    rates = np.zeros(kk)
-    for i in range(kk - 1, -1, -1):
-        h = h_cell[:, i]
-        mh = minv @ h
-        quad = float(np.real(np.conj(h) @ mh))
-        rates[i] = math.log2(1.0 + power * quad)
-        # fold user i into the interference for users decoded before it
-        minv = minv - (power / (1.0 + power * quad)) * np.outer(mh, np.conj(mh))
-    return rates
+    single = h_cells.ndim == 2
+    h = h_cells[None] if single else h_cells
+    m, l, kk = h.shape
+    power = np.broadcast_to(np.asarray(power, dtype=float), (m,))
+    noise_inv = np.broadcast_to(noise_inv, (m, l, l))
+    # a cell's users run up to its last nonzero column
+    users = (np.arange(1, kk + 1) * h.any(axis=1)).max(axis=1, initial=0)
+    order = np.argsort(users, kind="stable")
+    rates = np.zeros((m, kk))
+    step = max(1, _SIC_BLOCK // (l * l))
+    for a in range(0, m, step):
+        cells = order[a : a + step]
+        hb, pb = h[cells], power[cells]
+        minv = noise_inv[cells].astype(complex)
+        for i in range(users[cells].max() - 1, -1, -1):
+            col = hb[:, :, i, None]                             # (c, l, 1)
+            mh = minv @ col
+            quad = (np.conj(col).transpose(0, 2, 1) @ mh)[:, 0, 0].real
+            snr = 1.0 + pb * quad
+            # math.log2 on purpose: numpy's vector log2 can differ in the last bit
+            rates[cells, i] = [math.log2(x) for x in snr.tolist()]
+            # fold user i into the interference for users decoded before it
+            outer = mh * np.conj(mh).transpose(0, 2, 1)
+            outer *= (pb / snr)[:, None, None]
+            minv -= outer
+    return rates[0] if single else rates
 
 
 def cell_sum_rate(h_cell: np.ndarray, noise: np.ndarray, power: float) -> float:
@@ -364,35 +393,45 @@ def simulate_ish(topo: Topology, ch: ChannelRealization, cfg: SimConfig) -> SimR
     dst = topo.sd_pairing
     bs_power = n * p / m
 
-    members = [np.nonzero(home == b)[0] for b in range(m)]
-    r_up, r_down = np.zeros(n), np.zeros(n)
+    # each node's column in its BS's cell: cells are padded to the largest
+    count = np.bincount(home, minlength=m)
+    order = np.argsort(home, kind="stable")
+    col = np.empty(n, dtype=np.int64)
+    col[order] = np.arange(n) - (np.cumsum(count) - count)[home[order]]
+    up = np.zeros((m, l, count.max()), dtype=complex)
+    noise_inv = np.tile(np.eye(l, dtype=complex), (m, 1, 1))
 
-    # downlink noise boost: power received from every foreign BS, summed
-    # over all BSs before each node's own BS is taken out again
+    # one pass over the BSs: each BS's distances to every node give both its
+    # uplink gains and its term of the downlink noise boost, the power
+    # received from every foreign BS (summed over all BSs before each
+    # node's own BS is taken out again)
     nu, own_term = np.ones(n), np.empty(n)
+    own_dists = np.empty((n, l))
     all_nodes = np.arange(n)
     for b in range(m):
         dists = ch.antenna_distances(b, all_nodes)         # (n, l)
         term = (bs_power / l) * np.sum(dists ** (-ch.alpha), axis=1)
         nu += term
-        own_term[members[b]] = term[members[b]]
-    nu -= own_term
-
-    for b in range(m):
-        own = members[b]
-        if own.size == 0:
+        own = home == b
+        own_term[own] = term[own]
+        own_dists[own] = dists[own]
+        if count[b] == 0:
             continue
-        h = ch.uplink_matrix(b, all_nodes).T               # (n, l)
-        h_out = h[home != b].T                             # (l, n-k)
+        h = ch._link(_KIND_UPLINK, b, all_nodes, dists)    # (n, l)
+        h_out = h[~own].T                                  # (l, n-k)
         noise = np.eye(l) + p * (h_out @ h_out.conj().T)
-        r_up[own] = _sic_rates(h[own].T, np.linalg.inv(noise), p)
+        noise_inv[b] = np.linalg.inv(noise)
+        up[b, :, col[own]] = h[own]
+    nu -= own_term
+    r_up = _sic_rates(up, noise_inv, p)[home, col]
 
-        # downlink by duality: equal dual powers, per-user noise nu folded
-        # into scaled channels, unit effective noise at the BS side
-        g = ch.downlink_matrix(b, own).T                   # (l, k)
-        g_tilde = g / np.sqrt(nu[own])[None, :]
-        q = bs_power / own.size
-        r_down[own] = _sic_rates(g_tilde, np.eye(l, dtype=complex), q)
+    # downlink by duality: equal dual powers, per-user noise nu folded
+    # into scaled channels, unit effective noise at the BS side
+    g = ch._link(_KIND_DOWNLINK, home[:, None], all_nodes, own_dists)
+    down = np.zeros_like(up)
+    down[home, :, col] = g / np.sqrt(nu)[:, None]
+    q = bs_power / np.maximum(count, 1)
+    r_down = _sic_rates(down, np.eye(l, dtype=complex), q)[home, col]
 
     return _infra_result("ISH", topo, cfg.r_bs, r_up, r_down[dst], r_down.sum())
 

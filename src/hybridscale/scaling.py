@@ -405,27 +405,28 @@ def classify_regime_3d(beta: float, gamma: float, eta: float,
 # Minimum backhaul exponent and limitation flags
 # ---------------------------------------------------------------------------
 
-def min_backhaul_exponent_grid(beta, gamma):
+def min_backhaul_exponent_grid(beta, gamma, label=None):
     """Smallest eta that preserves the unlimited-backhaul exponent at all alpha.
 
     Regime A needs no backhaul at all (-inf).  In B the bottleneck is the
     per-BS antenna count (gamma); in C it is the (1-beta)/2 parallel-path
     plateau; in D the ISH segment peaks at alpha = 2(1-gamma)/beta, giving
     gamma - (1-beta)(1-beta-gamma)/beta.  Regime D needs beta > 0, so the
-    division by zero at beta = 0 is never selected.
+    division by zero at beta = 0 is never selected.  ``label`` passes the
+    eta = inf regime labels of (beta, gamma) when the caller has them.
     """
     beta, gamma = np.asarray(beta, dtype=float), np.asarray(gamma, dtype=float)
-    label = regime_label_grid(beta, gamma, INF)
+    label = regime_label_grid(beta, gamma, INF) if label is None else np.asarray(label)
     with np.errstate(divide="ignore", invalid="ignore"):
         d = gamma - (1.0 - beta) * (1.0 - beta - gamma) / beta
     return np.select([label == "A", label == "B", label == "C"],
                      [NEG_INF, gamma, (1.0 - beta) / 2.0], d)
 
 
-def min_backhaul_exponent(beta: float, gamma: float) -> float:
+def min_backhaul_exponent(beta: float, gamma: float, label2d: str | None = None) -> float:
     """Validated scalar view of ``min_backhaul_exponent_grid``."""
     _check_range(beta, gamma)
-    return float(min_backhaul_exponent_grid(beta, gamma))
+    return float(min_backhaul_exponent_grid(beta, gamma, label2d))
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,12 @@ closed-form region inequalities the classifier under test uses.
 
 The dense distance and MISO references are the one-shot forms that the
 blocked and tensor-free kernels in ``channel`` and ``cutset`` must equal
-bit for bit.
+bit for bit; the exp gain form and the per-cell MMSE-SIC loop are the ones
+that ``channel.path_gains`` and the stacked ``protocols._sic_rates`` must
+equal bit for bit.
 """
+
+import math
 
 import numpy as np
 
@@ -113,3 +117,22 @@ def dense_miso_bits(dest_pos, src_pos, src_amp, alpha):
         raise ZeroDistanceError("coincident endpoints give an infinite gain")
     amp = (src_amp[None, :] * r ** (-alpha / 2.0)).sum(axis=1)
     return np.log2(1.0 + amp * amp)
+
+
+def exp_gains(r, theta, alpha):
+    """Complex gains in the one-line form exp(j*theta) * r^(-alpha/2)."""
+    return np.exp(1j * theta) * r ** (-alpha / 2.0)
+
+
+def per_cell_sic_rates(h_cell, noise_inv, power):
+    """MMSE-SIC rates of one (l, k) cell, one rank-1 update per user."""
+    kk = h_cell.shape[1]
+    minv = noise_inv.copy()
+    rates = np.zeros(kk)
+    for i in range(kk - 1, -1, -1):
+        h = h_cell[:, i]
+        mh = minv @ h
+        quad = float(np.real(np.conj(h) @ mh))
+        rates[i] = math.log2(1.0 + power * quad)
+        minv = minv - (power / (1.0 + power * quad)) * np.outer(mh, np.conj(mh))
+    return rates

@@ -4,10 +4,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from hybridscale.channel import ChannelRealization, ZeroDistanceError, _distances
+from hybridscale.channel import (
+    _KIND_DOWNLINK,
+    _KIND_NODE,
+    _KIND_UPLINK,
+    ChannelRealization,
+    ZeroDistanceError,
+    _distances,
+    _phase,
+)
 from hybridscale.topology import Topology, TopologyConfig, generate_topology
 
-from oracles import dense_distances
+from oracles import dense_distances, exp_gains
 from test_topology import _manual_topology
 
 
@@ -107,6 +115,34 @@ def test_matrix_forms_agree_with_vectors():
     for j, i in enumerate(nodes):
         assert np.array_equal(U[:, j], ch.uplink_vector(int(i), 1))
         assert np.array_equal(D[j], ch.downlink_vector(1, int(i)))
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("alpha", [2.2, 3.0, 4.0, 6.0])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_gain_kernel_equals_exp_form_bit_for_bit(alpha, seed):
+    t = generate_topology(TopologyConfig(n=600, m=9, l=7, seed=seed))
+    ch = ChannelRealization(t, alpha, phase_seed=seed + 1)
+    pos, nodes, ant = t.node_positions, np.arange(t.n), np.arange(t.l)
+    tx, rx = nodes[::3], nodes[1::3]
+    theta = _phase(ch.phase_seed, _KIND_NODE, tx[None, :], rx[:, None])
+    want = exp_gains(_distances(pos[rx], pos[tx]), theta, alpha)
+    assert _same_bits(ch.node_gain_matrix(tx, rx), want)
+    # the scalar gain takes its power of r in Python, as the scalar exp form does
+    for i, k in zip(tx[:50].tolist(), rx[:50].tolist()):
+        r = float(np.linalg.norm(pos[k] - pos[i]))
+        theta = float(_phase(ch.phase_seed, _KIND_NODE, i, k))
+        assert _same_bits(np.array([ch.node_gain(i, k)]), exp_gains(r, theta, alpha))
+    for b in range(t.m):
+        r = ch.antenna_distances(b, nodes)
+        for kind, got in ((_KIND_UPLINK, ch.uplink_matrix(b, nodes).T),
+                          (_KIND_DOWNLINK, ch.downlink_matrix(b, nodes))):
+            theta = _phase(ch.phase_seed, kind, nodes[:, None], b, ant[None, :])
+            assert _same_bits(got, exp_gains(r, theta, alpha))
 
 
 @pytest.mark.parametrize("n_rows, n_cols", [(0, 0), (0, 7), (7, 0), (1, 1), (37, 53)])

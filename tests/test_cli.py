@@ -416,6 +416,24 @@ def test_column_formatter_matches_per_cell_fmt(cells):
     assert cli._fmt_column(cells) == [cli._fmt(c) for c in cells]
 
 
+def test_str_column_is_its_own_text_and_mixed_columns_go_through_fmt(monkeypatch):
+    calls = []
+
+    def fmt(v):
+        calls.append(v)
+        return _fmt(v)
+
+    _fmt = cli._fmt
+    monkeypatch.setattr(cli, "_fmt", fmt)
+    labels = ["A", "B~", "D~", "A", "true"]
+    assert cli._fmt_column(labels) == labels
+    assert calls == []
+    mixed = ["MIN", 1.5, None, "A"]
+    assert cli._fmt_column(mixed) == ["MIN", "1.5", "", "A"]
+    assert calls == mixed
+    assert cli._fmt_column([None, None]) == ["", ""]
+
+
 def test_emit_csv_body_matches_per_cell_fmt(capsys):
     sim = [
         ["MH", 256, 1, 1, math.inf, 3.0, 0, 0.0, None, None, None],

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hybridscale import protocols
 from hybridscale.channel import ChannelRealization
 from hybridscale.protocols import (
     RUNNERS,
@@ -25,6 +26,8 @@ from hybridscale.protocols import (
 )
 from hybridscale.scaling import ScalingPoint, map_finite_n
 from hybridscale.topology import Topology, TopologyConfig, generate_topology
+
+from oracles import per_cell_sic_rates
 
 
 def _topo(nodes, antennas=None, m=1, l=1, pairing=None):
@@ -295,6 +298,34 @@ def test_ish_single_user_rate_matches_scalar_formula():
     noise = np.eye(1) + 4.0 * (h_out @ h_out.conj().T)
     rates = _sic_rates(h_own, np.linalg.inv(noise), 4.0)
     assert rates[0] == pytest.approx(math.log2(1.0 + 4.0 * 0.5**-3.0), rel=1e-9)
+
+
+@pytest.mark.parametrize("cells_per_block", [None, 3])
+def test_stacked_sic_equals_per_cell_loop_bit_for_bit(cells_per_block, monkeypatch):
+    """40 cells of 0 to 11 users (one empty, one single-user), zero-padded to
+    the largest, each with its own power and noise; in one block or in
+    blocks of 3 cells."""
+    rng = np.random.default_rng(4)
+    l = 5
+    sizes = [0, 1, *rng.integers(0, 12, 38).tolist()]
+    # SNRs near 1, where a one-ulp change of the covariance shows in the rates
+    powers = 10.0 ** rng.uniform(-1.0, 1.0, len(sizes))
+    h = np.zeros((len(sizes), l, max(sizes)), dtype=complex)
+    noise_inv = np.empty((len(sizes), l, l), dtype=complex)
+    for c, k in enumerate(sizes):
+        scale = 10.0 ** rng.uniform(-0.5, 0.0, k)
+        h[c, :, :k] = scale * (rng.normal(size=(l, k)) + 1j * rng.normal(size=(l, k)))
+        out = rng.normal(size=(l, 9)) + 1j * rng.normal(size=(l, 9))
+        noise_inv[c] = np.linalg.inv(np.eye(l) + powers[c] * (out @ out.conj().T))
+    if cells_per_block:
+        monkeypatch.setattr(protocols, "_SIC_BLOCK", cells_per_block * l * l)
+    rates = _sic_rates(h, noise_inv, powers)
+    assert rates.shape == (len(sizes), max(sizes))
+    for c, k in enumerate(sizes):
+        want = per_cell_sic_rates(h[c, :, :k], noise_inv[c], powers[c])
+        assert rates[c, :k].tobytes() == want.tobytes()
+        assert _sic_rates(h[c, :, :k], noise_inv[c], powers[c]).tobytes() == want.tobytes()
+        assert not rates[c, k:].any()
 
 
 def test_ish_sic_chain_matches_logdet():
