@@ -72,15 +72,19 @@ def _distances(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 def path_gains(r: np.ndarray, theta: np.ndarray, alpha: float) -> np.ndarray:
     """Complex gains exp(j*theta) * r^(-alpha/2) from distances and phases.
 
-    The real and imaginary parts are cos(theta) and sin(theta) times the
-    amplitude, written into one preallocated array, with no complex
-    exponential or complex product formed.  The bits equal those of the exp
-    form, which ``tests/oracles.py`` keeps as the reference.
+    ``theta`` has the shape of the result.  The real and imaginary parts are
+    cos(theta) and sin(theta) times the amplitude, computed in place in one
+    preallocated array, with no complex exponential or complex product
+    formed.  The bits equal those of the exp form, which
+    ``tests/oracles.py`` keeps as the reference.
     """
     amp = r ** (-alpha / 2.0)
-    out = np.empty(np.broadcast_shapes(np.shape(r), np.shape(theta)), dtype=complex)
-    np.multiply(np.cos(theta), amp, out=out.real)
-    np.multiply(np.sin(theta), amp, out=out.imag)
+    out = np.empty(np.shape(theta), dtype=complex)
+    re, im = out.real, out.imag
+    np.cos(theta, out=re)
+    re *= amp
+    np.sin(theta, out=im)
+    im *= amp
     return out
 
 

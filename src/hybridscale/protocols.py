@@ -399,7 +399,7 @@ def simulate_ish(topo: Topology, ch: ChannelRealization, cfg: SimConfig) -> SimR
     col = np.empty(n, dtype=np.int64)
     col[order] = np.arange(n) - (np.cumsum(count) - count)[home[order]]
     up = np.zeros((m, l, count.max()), dtype=complex)
-    noise_inv = np.tile(np.eye(l, dtype=complex), (m, 1, 1))
+    noise_inv = np.empty((m, l, l), dtype=complex)
 
     # one pass over the BSs: each BS's distances to every node give both its
     # uplink gains and its term of the downlink noise boost, the power
@@ -415,8 +415,6 @@ def simulate_ish(topo: Topology, ch: ChannelRealization, cfg: SimConfig) -> SimR
         own = home == b
         own_term[own] = term[own]
         own_dists[own] = dists[own]
-        if count[b] == 0:
-            continue
         h = ch._link(_KIND_UPLINK, b, all_nodes, dists)    # (n, l)
         h_out = h[~own].T                                  # (l, n-k)
         noise = np.eye(l) + p * (h_out @ h_out.conj().T)
