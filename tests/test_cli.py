@@ -417,14 +417,13 @@ def test_column_formatter_matches_per_cell_fmt(cells):
 
 
 def test_str_column_is_its_own_text_and_mixed_columns_go_through_fmt(monkeypatch):
-    calls = []
+    calls, fmt = [], cli._fmt
 
-    def fmt(v):
+    def counting_fmt(v):
         calls.append(v)
-        return _fmt(v)
+        return fmt(v)
 
-    _fmt = cli._fmt
-    monkeypatch.setattr(cli, "_fmt", fmt)
+    monkeypatch.setattr(cli, "_fmt", counting_fmt)
     labels = ["A", "B~", "D~", "A", "true"]
     assert cli._fmt_column(labels) == labels
     assert calls == []
