@@ -3,7 +3,9 @@
 The files under ``tests/golden/`` pin the exact bytes of ``simulate`` (all
 four schemes, R_BS = 0 and R_BS = inf with 16 BSs among them, and IMH and ISH
 at a regime-D point with 25 BSs of 5 antennas, more than the 4 on each
-boundary, so interior antennas and cells of unequal size occur) and ``bound``
+boundary, so interior antennas and cells of unequal size occur; MH and HC
+at the benchmark's sizes n = 1024 and 2048, and HC with many small clusters
+of mixed shapes, cluster exponent 0.3) and ``bound``
 (R_BS = inf with one BS on the midline, where the wired term is 0, and with
 16 BSs, where it is inf) at small sizes, and of the analytic subcommands
 ``regime-map`` (at seven backhaul exponents, among them the label edges
@@ -49,6 +51,18 @@ CASES = {
         "simulate", *_SIZES_SEEDS,
         "--alpha", "2.4", "--beta", "0.6", "--gamma", "0.3", "--eta=inf",
         "--schemes", "IMH", "ISH", "--power", "10",
+    ],
+    # MH and HC at the sizes of the ad hoc benchmark sweep
+    "simulate_a3_b0_g0_etainf_mh_hc_p100.csv": [
+        "simulate", "--sizes", "1024", "2048", "--seeds", "0",
+        "--alpha", "3", "--beta", "0", "--gamma", "0", "--eta=inf",
+        "--schemes", "MH", "HC", "--power", "100",
+    ],
+    # many small HC clusters of mixed shapes
+    "simulate_a2.5_b0_g0_etainf_hc_x0.3.csv": [
+        "simulate", *_SIZES_SEEDS,
+        "--alpha", "2.5", "--beta", "0", "--gamma", "0", "--eta=inf",
+        "--schemes", "HC", "--power", "100", "--hc-cluster-exponent", "0.3",
     ],
     "bound_a3_b0.3_g0.3_eta0.2.csv": [
         "bound", *_SIZES_SEEDS,
