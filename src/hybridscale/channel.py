@@ -26,6 +26,8 @@ _KIND_NODE = _U(3)
 _TWO_PI = 2.0 * np.pi
 _INV_2_53 = 2.0 ** -53
 
+_GAIN_BLOCK = 1 << 15  # node-to-node gain entries built at once, bounding memory
+
 
 class ZeroDistanceError(ValueError):
     """Two endpoints coincide; the path-loss law r^(-alpha/2) diverges."""
@@ -49,7 +51,12 @@ def _hash(seed: int, kind: np.uint64, *keys) -> np.ndarray:
 
 def _phase(seed: int, kind: np.uint64, *keys) -> np.ndarray:
     """Uniform [0, 2pi) phase keyed by (seed, kind, *keys)."""
-    return (_hash(seed, kind, *keys) >> _U(11)).astype(float) * (_INV_2_53 * _TWO_PI)
+    return _angle(_hash(seed, kind, *keys))
+
+
+def _angle(h: np.ndarray) -> np.ndarray:
+    """Uniform [0, 2pi) phase from the top 53 bits of a uint64 hash."""
+    return (h >> _U(11)).astype(float) * (_INV_2_53 * _TWO_PI)
 
 
 def _distances(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -123,12 +130,52 @@ class ChannelRealization:
 
     def node_gain_matrix(self, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
         """Dense (len(rx), len(tx)) matrix of node-to-node gains."""
-        tx = np.asarray(tx, dtype=np.int64)
-        rx = np.asarray(rx, dtype=np.int64)
+        ((_, _, gains),) = self.node_gain_blocks([tx, rx], [(0, 1)])
+        return gains.reshape(len(rx), len(tx))
+
+    def node_gain_blocks(self, groups, pairs, block: int = _GAIN_BLOCK):
+        """Gains from the nodes ``groups[a]`` to the nodes ``groups[b]`` for
+        each pair (a, b) of ``pairs``, built a block of pairs at a time.
+
+        Yields (i, j, gains): ``gains`` holds the (len(groups[b]),
+        len(groups[a])) matrices of pairs[i:j] flat, one after another, each
+        in row-major order.  Consecutive pairs fill a block up to ``block``
+        entries; a larger pair fills one alone.  Each pair costs three
+        broadcast writes (x and y differences and hash keys) into buffers
+        allocated once; distances, hashes, phases and gains then take one
+        call each over the whole block.  A node's transmit key, the first two
+        of the three hash stages of (seed, kind, tx, rx), is computed once.
+        """
         pos = self.topology.node_positions
-        r = _check_distances(_distances(pos[rx], pos[tx]))
-        theta = _phase(self.phase_seed, _KIND_NODE, tx[None, :], rx[:, None])
-        return path_gains(r, theta, self.alpha)
+        groups = [np.asarray(g, dtype=np.int64) for g in groups]
+        xs = [pos[g, 0] for g in groups]
+        ys = [pos[g, 1] for g in groups]
+        tx_key = [_hash(self.phase_seed, _KIND_NODE, g) for g in groups]
+        rx_key = [g.astype(_U)[:, None] for g in groups]
+        size = [len(groups[a]) * len(groups[b]) for a, b in pairs]
+        cap = max([min(block, sum(size)), *size])
+        dx, dy, key = np.empty(cap), np.empty(cap), np.empty(cap, dtype=_U)
+        i = 0
+        while i < len(pairs):
+            j, end = i + 1, size[i]
+            while j < len(pairs) and end + size[j] <= block:
+                end += size[j]
+                j += 1
+            o = 0
+            for (a, b), e in zip(pairs[i:j], size[i:j]):
+                shape = (len(groups[b]), len(groups[a]))
+                np.subtract(xs[b][:, None], xs[a], out=dx[o : o + e].reshape(shape))
+                np.subtract(ys[b][:, None], ys[a], out=dy[o : o + e].reshape(shape))
+                np.add(tx_key[a], rx_key[b], out=key[o : o + e].reshape(shape))
+                o += e
+            # sqrt(dx*dx + dy*dy) in place, as _distances computes it
+            r, r2 = dx[:end], dy[:end]
+            r *= r
+            r2 *= r2
+            r += r2
+            _check_distances(np.sqrt(r, out=r))
+            yield i, j, path_gains(r, _angle(_mix64(key[:end])), self.alpha)
+            i = j
 
     # -- node-to-BS and BS-to-node -----------------------------------------
 

@@ -13,7 +13,10 @@ power P, per-BS power nP/m.  Schemes:
          runs in one stack of cells zero-padded to the largest.
 * HC   - single-level estimate of hierarchical cooperation (intra-cluster
          exchange, long-range MIMO, quantize-and-collect); labeled as an
-         estimate, not the recursive scheme.
+         estimate, not the recursive scheme.  The long-range MIMO hops of
+         all cluster pairs are evaluated together: sorted by shape, their
+         gains built in blocks of pairs, one stacked slogdet per run of
+         equal shape.
 
 MH and both IMH radio stages share one multihop kernel on a g x g grid of
 routing cells.  Routing contract: a route is a pure function of the instance
@@ -27,6 +30,7 @@ representative that is the receiver itself does not interfere.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -218,19 +222,31 @@ def _multihop_shares(
     def phase(c):
         return (c % g) % s + s * ((c // g) % s)
 
-    hop_phase, rep_phase = phase(cell), phase(rep_cell)
-    interf = np.empty(cell.size)
+    # a hop's interference depends only on its receiver and its cell, so it
+    # is computed once for each distinct (cell, receiver) and copied to the
+    # hops that share it; each row is summed alone, so no bit changes
+    order = np.lexsort((rx[:, 1], rx[:, 0], cell))
+    sc, sx, sy = cell[order], rx[order, 0], rx[order, 1]
+    distinct = np.ones(sc.size, dtype=bool)
+    distinct[1:] = (sc[1:] != sc[:-1]) | (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])
+    row = np.empty(sc.size, dtype=np.int64)
+    row[order] = np.cumsum(distinct) - 1
+    u_cell, u_x, u_y = sc[distinct], sx[distinct], sy[distinct]
+
+    u_phase, rep_phase = phase(u_cell), phase(rep_cell)
+    interf = np.empty(u_cell.size)
     for ph in np.unique(rep_phase):
         same = rep_phase == ph
         cs, xs, ys = rep_cell[same], rep_x[same], rep_y[same]
-        at = np.nonzero(hop_phase == ph)[0]
+        at = np.nonzero(u_phase == ph)[0]
         step = max(1, _BLOCK // cs.size)
         for a in range(0, at.size, step):
             h = at[a : a + step]
-            dist = np.hypot(xs - rx[h, 0][:, None], ys - rx[h, 1][:, None])
+            dist = np.hypot(xs - u_x[h][:, None], ys - u_y[h][:, None])
             dist[dist == 0.0] = math.inf  # half-duplex: the receiver is silent
-            gain = np.where(cs != cell[h][:, None], dist ** (-alpha), 0.0)
+            gain = np.where(cs != u_cell[h][:, None], dist ** (-alpha), 0.0)
             interf[h] = p * gain.sum(axis=1)
+    interf = interf[row]
 
     # Python floats on purpose: numpy's vector power and log2 can differ from
     # the scalar ones in the last bit
@@ -438,15 +454,38 @@ def simulate_ish(topo: Topology, ch: ChannelRealization, cfg: SimConfig) -> SimR
 # HC (single-level estimate)
 # ---------------------------------------------------------------------------
 
+def hc_long_range_rates(ch: ChannelRealization, groups, pairs, power: float) -> np.ndarray:
+    """Sum rates of cluster-to-cluster MIMO hops, power/|A| per transmitter.
+
+    Pair (a, b) sends from the nodes A = groups[a] to the nodes B = groups[b].
+    The pairs are sorted by shape (|B|, |A|) and their gains built in blocks
+    by ``ch.node_gain_blocks``; each run of equal shape in a block is a
+    (c, |B|, |A|) view of the block's gains and gets one stacked H H^h, one
+    I + (power/|A|) H H^h and one stacked slogdet.  Returns one rate per
+    pair, in the order of ``pairs``.
+    """
+    shape = [(len(groups[b]), len(groups[a])) for a, b in pairs]
+    order = sorted(range(len(pairs)), key=shape.__getitem__)
+    rates = np.empty(len(pairs))
+    for i, j, gains in ch.node_gain_blocks(groups, [pairs[k] for k in order]):
+        o = 0
+        for (nb, na), run in itertools.groupby(order[i:j], key=shape.__getitem__):
+            run = list(run)
+            h = gains[o : o + len(run) * nb * na].reshape(len(run), nb, na)
+            mat = h @ np.conj(h).transpose(0, 2, 1)
+            mat *= power / na
+            mat += np.eye(nb)
+            rates[run] = np.linalg.slogdet(mat)[1] / math.log(2.0)
+            o += h.size
+    return rates
+
+
 def hc_long_range_rate(
     ch: ChannelRealization, tx_nodes: np.ndarray, rx_nodes: np.ndarray, power: float
 ) -> float:
-    """Sum rate of the cluster-to-cluster MIMO hop, power/|A| per transmitter."""
-    h = ch.node_gain_matrix(tx_nodes, rx_nodes)            # (|B|, |A|)
-    a = len(tx_nodes)
-    mat = np.eye(len(rx_nodes)) + (power / a) * (h @ h.conj().T)
-    _, logdet = np.linalg.slogdet(mat)
-    return float(logdet / math.log(2.0))
+    """Sum rate of the cluster-to-cluster MIMO hop, power/|A| per transmitter:
+    the one-pair case of ``hc_long_range_rates``."""
+    return float(hc_long_range_rates(ch, [tx_nodes, rx_nodes], [(0, 1)], power)[0])
 
 
 def _cluster_nn_rate(pos: np.ndarray, members: np.ndarray, p: float, alpha: float) -> float:
@@ -466,7 +505,10 @@ def estimate_hc_single_level(
     each ordered cluster pair carrying f flows the cycle time adds
     f/r_A (intra-source-cluster exchange) + f/R2 (long-range MIMO) +
     f*|B|*Q/(R2*r_B) (quantize-and-collect); same-cluster flows pay f/r_A
-    at nearest-neighbor rates.  Aggregate = n / total cycle time.
+    at nearest-neighbor rates.  Aggregate = n / total cycle time.  The R2 of
+    every cross-cluster pair comes from one ``hc_long_range_rates`` call
+    (blocks of pairs sorted by shape, one stacked slogdet per run of equal
+    shape); the times are then added in the sorted order of the pair keys.
     """
     n = topo.n
     m_target = max(1, round(n ** cfg.hc_cluster_exponent))
@@ -478,33 +520,36 @@ def estimate_hc_single_level(
     cluster = ij[:, 0] + cg * ij[:, 1]
     dst = topo.sd_pairing
 
-    members = {int(c): np.nonzero(cluster == c)[0] for c in np.unique(cluster)}
-    nn_rate = {
-        c: _cluster_nn_rate(pos, mem, cfg.p, ch.alpha) if mem.size >= 2 else math.inf
-        for c, mem in members.items()
-    }
+    count = np.bincount(cluster, minlength=cg * cg)
+    members = np.split(np.argsort(cluster, kind="stable"), np.cumsum(count)[:-1])
+    nn_rate = [
+        _cluster_nn_rate(pos, mem, cfg.p, ch.alpha) if mem.size >= 2 else math.inf
+        for mem in members
+    ]
 
     # flows per ordered cluster pair (a, b), keyed a * cg^2 + b in sorted order
-    pairs, flows = np.unique(cluster * (cg * cg) + cluster[dst], return_counts=True)
+    keys, flows = np.unique(cluster * (cg * cg) + cluster[dst], return_counts=True)
+    pairs = [divmod(key, cg * cg) for key in keys.tolist()]
+    r2s = iter(hc_long_range_rates(
+        ch, members, [(ca, cb) for ca, cb in pairs if ca != cb], cfg.p
+    ).tolist())
 
     def slot_time(bits: float, rate: float) -> float:
         return bits / rate if rate > 0.0 else math.inf
 
     total_time = 0.0
     q = float(cfg.hc_quant_bits)
-    for key, f in zip(pairs.tolist(), flows.tolist()):
-        ca, cb = divmod(key, cg * cg)
-        mem_a, mem_b = members[ca], members[cb]
+    for (ca, cb), f in zip(pairs, flows.tolist()):
         r_a = nn_rate[ca]
         if ca == cb:
             total_time += slot_time(f, r_a)  # direct nearest-neighbor delivery
             continue
-        t1 = slot_time(f, r_a) if mem_a.size >= 2 else 0.0
-        r2 = hc_long_range_rate(ch, mem_a, mem_b, cfg.p)
+        t1 = slot_time(f, r_a) if members[ca].size >= 2 else 0.0
+        r2 = next(r2s)
         t2 = slot_time(f, r2)
         t3 = (
-            slot_time(f * mem_b.size * q, r2 * nn_rate[cb])
-            if mem_b.size >= 2
+            slot_time(f * members[cb].size * q, r2 * nn_rate[cb])
+            if members[cb].size >= 2
             else 0.0
         )
         total_time += t1 + t2 + t3

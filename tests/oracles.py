@@ -8,14 +8,22 @@ The dense distance and MISO references are the one-shot forms that the
 blocked and tensor-free kernels in ``channel`` and ``cutset`` must equal
 bit for bit; the exp gain form and the per-cell MMSE-SIC loop are the ones
 that ``channel.path_gains`` and the stacked ``protocols._sic_rates`` must
-equal bit for bit.
+equal bit for bit, and the one-pair gain matrix and 2-D log-determinant are
+what the blocked ``channel.node_gain_blocks`` and the stacked
+``protocols.hc_long_range_rates`` must equal bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from hybridscale.channel import ZeroDistanceError
+from hybridscale.channel import (
+    _KIND_NODE,
+    ZeroDistanceError,
+    _distances,
+    _phase,
+    path_gains,
+)
 from hybridscale.scaling import SCHEME_CODES, best_scheme_grid
 
 ALPHA_SWEEP = np.linspace(2.001, 12.0, 571)
@@ -136,3 +144,21 @@ def per_cell_sic_rates(h_cell, noise_inv, power):
         rates[i] = math.log2(1.0 + power * quad)
         minv = minv - (power / (1.0 + power * quad)) * np.outer(mh, np.conj(mh))
     return rates
+
+
+def pair_gain_matrix(ch, tx, rx):
+    """(len(rx), len(tx)) node-to-node gains of one cluster pair, built alone."""
+    pos = ch.topology.node_positions
+    r = _distances(pos[rx], pos[tx])
+    if np.any(r == 0.0):
+        raise ZeroDistanceError("coincident endpoints give an infinite gain")
+    theta = _phase(ch.phase_seed, _KIND_NODE, tx[None, :], rx[:, None])
+    return path_gains(r, theta, ch.alpha)
+
+
+def pair_long_range_rate(ch, tx, rx, power):
+    """log2 det(I + (power/|A|) H H^h) of one pair, one 2-D matmul and slogdet."""
+    h = pair_gain_matrix(ch, tx, rx)
+    mat = np.eye(len(rx)) + (power / len(tx)) * (h @ h.conj().T)
+    _, logdet = np.linalg.slogdet(mat)
+    return float(logdet / math.log(2.0))

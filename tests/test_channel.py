@@ -15,7 +15,7 @@ from hybridscale.channel import (
 )
 from hybridscale.topology import Topology, TopologyConfig, generate_topology
 
-from oracles import dense_distances, exp_gains
+from oracles import dense_distances, exp_gains, pair_gain_matrix
 from test_topology import _manual_topology
 
 
@@ -70,6 +70,36 @@ def test_gain_matrix_agrees_with_scalar():
     for j, i in enumerate(tx):
         for q, k in enumerate(rx):
             assert H[q, j] == ch.node_gain(int(i), int(k))
+
+
+def test_gain_blocks_equal_per_pair_matrices_bit_for_bit():
+    t = generate_topology(TopologyConfig(n=120, m=1, l=1, seed=6))
+    ch = ChannelRealization(t, 2.7, phase_seed=8)
+    groups = np.split(np.random.default_rng(1).permutation(t.n), [10, 20, 30, 35, 95, 96])
+    # 100, 100, 600, 5, 10 and 10 entries against a block of 100: the first
+    # two pairs fill a block each exactly, the third is larger than a block
+    # and the last three share one
+    pairs = [(0, 1), (1, 0), (4, 2), (3, 5), (5, 1), (2, 5)]
+    blocks = list(ch.node_gain_blocks(groups, pairs, block=100))
+    assert [(i, j) for i, j, _ in blocks] == [(0, 1), (1, 2), (2, 3), (3, 6)]
+    for i, j, gains in blocks:
+        o = 0
+        for a, b in pairs[i:j]:
+            want = pair_gain_matrix(ch, groups[a], groups[b])
+            assert _same_bits(gains[o : o + want.size].reshape(want.shape), want)
+            o += want.size
+        assert o == gains.size
+    assert list(ch.node_gain_blocks(groups, [])) == []
+
+
+def test_gain_blocks_reject_a_coincidence_in_the_last_pair_of_the_last_block():
+    nodes = [[float(i), 0.5 * i] for i in range(12)] + [[3.0, 1.5]]  # node 12 on node 3
+    ch = _channel_with_nodes(nodes)
+    groups = [np.arange(0, 5), np.arange(5, 10), np.array([10, 12]), np.array([11, 3])]
+    blocks = ch.node_gain_blocks(groups, [(0, 1), (1, 0), (2, 3)], block=30)
+    assert next(blocks)[:2] == (0, 1)
+    with pytest.raises(ZeroDistanceError):
+        next(blocks)  # pairs 1 and 2 share the last block
 
 
 # ---------------------------------------------------------------------------

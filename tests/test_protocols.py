@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,7 +28,7 @@ from hybridscale.protocols import (
 from hybridscale.scaling import ScalingPoint, map_finite_n
 from hybridscale.topology import Topology, TopologyConfig, generate_topology
 
-from oracles import per_cell_sic_rates
+from oracles import pair_long_range_rate, per_cell_sic_rates
 
 
 def _topo(nodes, antennas=None, m=1, l=1, pairing=None):
@@ -415,6 +416,48 @@ def test_hc_long_range_rate_matches_dense_logdet():
     mat = np.eye(2) + 2.0 * (h @ h.conj().T)
     want = math.log2(float(np.real(np.linalg.det(mat))))
     assert got == pytest.approx(want, abs=1e-9)
+
+
+_SHAPE_CASES = {
+    # 40000 entries, more than a 2^15-entry block
+    "larger_than_block": [(0, 1)],
+    # 2^15 entries alone, then two 128 x 128 pairs that fill the next block
+    # exactly and a third that makes a block of one pair
+    "exact_fill": [(2, 3), (3, 4), (4, 5), (5, 6)],
+    "one_pair": [(10, 11)],
+    "single_tx_or_rx": [(7, 9), (9, 7), (7, 8)],
+    "interleaved_shapes": [(10, 11), (11, 12), (3, 10), (10, 13), (12, 11), (9, 7),
+                           (13, 10), (11, 10)],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SHAPE_CASES))
+def test_hc_long_range_rates_equal_per_pair_oracle_bit_for_bit(case):
+    topo = generate_topology(TopologyConfig(n=1600, seed=2))
+    ch = ChannelRealization(topo, alpha=2.7, phase_seed=5)
+    sizes = [200, 200, 256, 128, 128, 128, 128, 1, 1, 300, 7, 30, 7, 30]
+    groups = np.split(np.random.default_rng(3).permutation(topo.n), np.cumsum(sizes))
+    pairs = _SHAPE_CASES[case]
+    got = protocols.hc_long_range_rates(ch, groups, pairs, 40.0)
+    want = np.array([pair_long_range_rate(ch, groups[a], groups[b], 40.0)
+                     for a, b in pairs])
+    assert got.shape == (len(pairs),)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_hc_estimate_memory_does_not_grow_with_the_pair_count():
+    """About 4,000 cluster pairs of about 64 x 64 gains at n=4096; their gains
+    together would take 250 MB, the blocks stay a few MB."""
+    topo = generate_topology(TopologyConfig(n=4096, seed=0))
+    ch = ChannelRealization(topo, alpha=3.0, phase_seed=0)
+    tracemalloc.start()
+    try:
+        estimate_hc_single_level(topo, ch, SimConfig(p=100.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_hc_beats_mh_near_alpha_two():
