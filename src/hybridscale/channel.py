@@ -133,18 +133,18 @@ class ChannelRealization:
         ((_, _, gains),) = self.node_gain_blocks([tx, rx], [(0, 1)])
         return gains.reshape(len(rx), len(tx))
 
-    def node_gain_blocks(self, groups, pairs, block: int = _GAIN_BLOCK):
+    def node_gain_blocks(self, groups, pairs):
         """Gains from the nodes ``groups[a]`` to the nodes ``groups[b]`` for
         each pair (a, b) of ``pairs``, built a block of pairs at a time.
 
         Yields (i, j, gains): ``gains`` holds the (len(groups[b]),
         len(groups[a])) matrices of pairs[i:j] flat, one after another, each
-        in row-major order.  Consecutive pairs fill a block up to ``block``
-        entries; a larger pair fills one alone.  Each pair costs three
-        broadcast writes (x and y differences and hash keys) into buffers
-        allocated once; distances, hashes, phases and gains then take one
-        call each over the whole block.  A node's transmit key, the first two
-        of the three hash stages of (seed, kind, tx, rx), is computed once.
+        in row-major order.  Consecutive pairs fill a block up to
+        ``_GAIN_BLOCK`` entries; a larger pair fills one alone.  Each pair
+        costs three broadcast writes (x and y differences and hash keys) into
+        buffers allocated once; distances, hashes, phases and gains then take
+        one call each over the whole block.  A node's transmit key, the first
+        two of the three hash stages of (seed, kind, tx, rx), is computed once.
         """
         pos = self.topology.node_positions
         groups = [np.asarray(g, dtype=np.int64) for g in groups]
@@ -153,12 +153,12 @@ class ChannelRealization:
         tx_key = [_hash(self.phase_seed, _KIND_NODE, g) for g in groups]
         rx_key = [g.astype(_U)[:, None] for g in groups]
         size = [len(groups[a]) * len(groups[b]) for a, b in pairs]
-        cap = max([min(block, sum(size)), *size])
+        cap = max([min(_GAIN_BLOCK, sum(size)), *size])
         dx, dy, key = np.empty(cap), np.empty(cap), np.empty(cap, dtype=_U)
         i = 0
         while i < len(pairs):
             j, end = i + 1, size[i]
-            while j < len(pairs) and end + size[j] <= block:
+            while j < len(pairs) and end + size[j] <= _GAIN_BLOCK:
                 end += size[j]
                 j += 1
             o = 0

@@ -162,6 +162,18 @@ class _RoutingGrid:
         return ij[:, 0], ij[:, 1]
 
 
+def _distinct_hops(cell: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct (cell, x, y) rows of hops in sorted order: the index of one
+    hop of each distinct row, and each hop's row number."""
+    order = np.lexsort((pts[:, 1], pts[:, 0], cell))
+    c, x, y = cell[order], pts[order, 0], pts[order, 1]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (c[1:] != c[:-1]) | (x[1:] != x[:-1]) | (y[1:] != y[:-1])
+    row = np.empty(order.size, dtype=np.int64)
+    row[order] = np.cumsum(new) - 1
+    return order[new], row
+
+
 def _multihop_shares(
     grid: _RoutingGrid,
     cfg: SimConfig,
@@ -207,11 +219,8 @@ def _multihop_shares(
 
     # one representative transmitter per loaded cell, hashed over the cell's
     # distinct transmitter positions in (x, y) order
-    order = np.lexsort((tx[:, 1], tx[:, 0], cell))
-    sc, sx, sy = cell[order], tx[order, 0], tx[order, 1]
-    distinct = np.ones(sc.size, dtype=bool)
-    distinct[1:] = (sc[1:] != sc[:-1]) | (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])
-    sc, sx, sy = sc[distinct], sx[distinct], sy[distinct]
+    keep, _ = _distinct_hops(cell, tx)
+    sc, sx, sy = cell[keep], tx[keep, 0], tx[keep, 1]
     loaded, lo, cnt = np.unique(sc, return_index=True, return_counts=True)
     rep = lo + _hash_index(seed, _KIND_REP, loaded, 0, cnt)
     # interference is summed over representatives in the order their cells
@@ -225,13 +234,8 @@ def _multihop_shares(
     # a hop's interference depends only on its receiver and its cell, so it
     # is computed once for each distinct (cell, receiver) and copied to the
     # hops that share it; each row is summed alone, so no bit changes
-    order = np.lexsort((rx[:, 1], rx[:, 0], cell))
-    sc, sx, sy = cell[order], rx[order, 0], rx[order, 1]
-    distinct = np.ones(sc.size, dtype=bool)
-    distinct[1:] = (sc[1:] != sc[:-1]) | (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])
-    row = np.empty(sc.size, dtype=np.int64)
-    row[order] = np.cumsum(distinct) - 1
-    u_cell, u_x, u_y = sc[distinct], sx[distinct], sy[distinct]
+    keep, row = _distinct_hops(cell, rx)
+    u_cell, u_x, u_y = cell[keep], rx[keep, 0], rx[keep, 1]
 
     u_phase, rep_phase = phase(u_cell), phase(rep_cell)
     interf = np.empty(u_cell.size)

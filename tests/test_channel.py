@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from hybridscale.channel import (
+    _GAIN_BLOCK,
     _KIND_DOWNLINK,
     _KIND_NODE,
     _KIND_UPLINK,
@@ -73,14 +74,14 @@ def test_gain_matrix_agrees_with_scalar():
 
 
 def test_gain_blocks_equal_per_pair_matrices_bit_for_bit():
-    t = generate_topology(TopologyConfig(n=120, m=1, l=1, seed=6))
+    t = generate_topology(TopologyConfig(n=1000, m=1, l=1, seed=6))
     ch = ChannelRealization(t, 2.7, phase_seed=8)
-    groups = np.split(np.random.default_rng(1).permutation(t.n), [10, 20, 30, 35, 95, 96])
-    # 100, 100, 600, 5, 10 and 10 entries against a block of 100: the first
-    # two pairs fill a block each exactly, the third is larger than a block
-    # and the last three share one
-    pairs = [(0, 1), (1, 0), (4, 2), (3, 5), (5, 1), (2, 5)]
-    blocks = list(ch.node_gain_blocks(groups, pairs, block=100))
+    sizes = [128, _GAIN_BLOCK // 128, 200, 200, 10, 5, 1]
+    groups = np.split(np.random.default_rng(1).permutation(t.n), np.cumsum(sizes))
+    # the first two pairs fill a block each exactly, the third (40000
+    # entries) is larger than a block and the last three share one
+    pairs = [(0, 1), (1, 0), (2, 3), (4, 5), (5, 6), (6, 4)]
+    blocks = list(ch.node_gain_blocks(groups, pairs))
     assert [(i, j) for i, j, _ in blocks] == [(0, 1), (1, 2), (2, 3), (3, 6)]
     for i, j, gains in blocks:
         o = 0
@@ -93,11 +94,12 @@ def test_gain_blocks_equal_per_pair_matrices_bit_for_bit():
 
 
 def test_gain_blocks_reject_a_coincidence_in_the_last_pair_of_the_last_block():
-    nodes = [[float(i), 0.5 * i] for i in range(12)] + [[3.0, 1.5]]  # node 12 on node 3
-    ch = _channel_with_nodes(nodes)
-    groups = [np.arange(0, 5), np.arange(5, 10), np.array([10, 12]), np.array([11, 3])]
-    blocks = ch.node_gain_blocks(groups, [(0, 1), (1, 0), (2, 3)], block=30)
-    assert next(blocks)[:2] == (0, 1)
+    nodes = [[i % 20 + 0.5, i // 20 + 0.5] for i in range(404)] + [[0.5, 20.5]]
+    ch = _channel_with_nodes(nodes)  # node 404 sits on node 400
+    groups = [np.arange(0, 200), np.arange(200, 400), np.array([400, 401]),
+              np.array([402, 404])]
+    blocks = ch.node_gain_blocks(groups, [(0, 1), (1, 2), (2, 3)])
+    assert next(blocks)[:2] == (0, 1)  # 40000 entries, a block alone
     with pytest.raises(ZeroDistanceError):
         next(blocks)  # pairs 1 and 2 share the last block
 

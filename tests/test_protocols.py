@@ -418,11 +418,12 @@ def test_hc_long_range_rate_matches_dense_logdet():
     assert got == pytest.approx(want, abs=1e-9)
 
 
+# against the channel's blocks of 2^15 gain entries
 _SHAPE_CASES = {
-    # 40000 entries, more than a 2^15-entry block
+    # 40000 entries
     "larger_than_block": [(0, 1)],
-    # 2^15 entries alone, then two 128 x 128 pairs that fill the next block
-    # exactly and a third that makes a block of one pair
+    # sorted by shape: two 128 x 128 pairs fill a block exactly, the third
+    # makes a block of one pair, and a 128 x 256 pair fills a block alone
     "exact_fill": [(2, 3), (3, 4), (4, 5), (5, 6)],
     "one_pair": [(10, 11)],
     "single_tx_or_rx": [(7, 9), (9, 7), (7, 8)],
