@@ -68,8 +68,11 @@ def _distances(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     differently.  Each step works in place, so a call allocates two
     (rows, cols) arrays.
     """
-    dx = rows[:, None, 0] - cols[None, :, 0]
-    dy = rows[:, None, 1] - cols[None, :, 1]
+    return _norm(rows[:, None, 0] - cols[None, :, 0], rows[:, None, 1] - cols[None, :, 1])
+
+
+def _norm(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """sqrt(dx*dx + dy*dy), computed in place in ``dx`` (``dy`` is overwritten)."""
     dx *= dx
     dy *= dy
     dx += dy
@@ -168,12 +171,7 @@ class ChannelRealization:
                 np.subtract(ys[b][:, None], ys[a], out=dy[o : o + e].reshape(shape))
                 np.add(tx_key[a], rx_key[b], out=key[o : o + e].reshape(shape))
                 o += e
-            # sqrt(dx*dx + dy*dy) in place, as _distances computes it
-            r, r2 = dx[:end], dy[:end]
-            r *= r
-            r2 *= r2
-            r += r2
-            _check_distances(np.sqrt(r, out=r))
+            r = _check_distances(_norm(dx[:end], dy[:end]))
             yield i, j, path_gains(r, _angle(_mix64(key[:end])), self.alpha)
             i = j
 

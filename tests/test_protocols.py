@@ -448,8 +448,8 @@ def test_hc_long_range_rates_equal_per_pair_oracle_bit_for_bit(case):
 
 
 def test_hc_estimate_memory_does_not_grow_with_the_pair_count():
-    """About 4,000 cluster pairs of about 64 x 64 gains at n=4096; their gains
-    together would take 250 MB, the blocks stay a few MB."""
+    """2,566 cluster pairs of about 64 x 64 gains at n=4096; their gains
+    together would take about 160 MB, the blocks stay a few MB."""
     topo = generate_topology(TopologyConfig(n=4096, seed=0))
     ch = ChannelRealization(topo, alpha=3.0, phase_seed=0)
     tracemalloc.start()
