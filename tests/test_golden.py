@@ -7,7 +7,10 @@ boundary, so interior antennas and cells of unequal size occur; MH and HC
 at the benchmark's sizes n = 1024 and 2048, and HC with many small clusters
 of mixed shapes, cluster exponent 0.3) and ``bound``
 (R_BS = inf with one BS on the midline, where the wired term is 0, and with
-16 BSs, where it is inf) at small sizes, and of the analytic subcommands
+16 BSs, where it is inf) at small sizes; ``bound`` also at the infra
+benchmark's sizes n = 1024-4096 with 25-64 BSs split by the midline and a
+finite wired term, and at a regime-D point with up to 144 BSs of 12
+antennas and an infinite wired term; and of the analytic subcommands
 ``regime-map`` (at seven backhaul exponents, among them the label edges
 -0.5, 0 and 0.5), ``min-backhaul`` and ``exponent`` (text and JSON, with
 its alpha-breakpoint table, among them one point on a rounded breakpoint and
@@ -73,6 +76,17 @@ CASES = {
         "bound", *_SIZES_SEEDS,
         "--alpha", "3", "--beta", b, "--gamma", g, "--eta=inf",
     ] for b, g in (("0", "0"), ("0.5", "0.25"))},
+    # the cut at the infra sweep's sizes: 25-64 BSs split by the midline, R_BS = 1
+    "bound_a3_b0.5_g0.25_eta0_n4096.csv": [
+        "bound", "--sizes", "1024", "2048", "4096", "--seeds", "0", "1",
+        "--alpha", "3", "--beta", "0.5", "--gamma", "0.25", "--eta", "0",
+    ],
+    # regime D: up to 144 BSs of 12 antennas, wired term inf
+    "bound_a2.4_b0.6_g0.3_etainf_p10.csv": [
+        "bound", "--sizes", "2048", "4096", "--seeds", "0",
+        "--alpha", "2.4", "--beta", "0.6", "--gamma", "0.3", "--eta=inf",
+        "--power", "10",
+    ],
     # default 20 x 20 grid and reference alphas; eta = -inf is all A,
     # eta = -0.3 splits into A and B~, and -0.5, 0 and 0.5 sit on the edges
     # of the label ladder's cases
