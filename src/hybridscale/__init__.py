@@ -28,7 +28,7 @@ from .scaling import (
 __version__ = "0.1.0"
 
 from .channel import ChannelRealization, ZeroDistanceError
-from .cutset import CutBound, bound_l1, bound_l2, min_cut
+from .cutset import CutBound, bound_l1, bound_l2, cut_bounds, min_cut
 from .protocols import (
     EmptyRoutingCellError,
     SimConfig,

@@ -59,16 +59,22 @@ def _angle(h: np.ndarray) -> np.ndarray:
     return (h >> _U(11)).astype(float) * (_INV_2_53 * _TWO_PI)
 
 
-def _distances(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _distances(rows: np.ndarray, cols: np.ndarray, out=None) -> np.ndarray:
     """(len(rows), len(cols)) Euclidean distances between two point sets.
 
     ``sqrt(dx*dx + dy*dy)`` equals ``np.linalg.norm`` over the stacked
     differences bit for bit (its length-2 reduction is that very sum), so
     every caller's output depends on keeping this form; ``np.hypot`` rounds
     differently.  Each step works in place, so a call allocates two
-    (rows, cols) arrays.
+    (rows, cols) arrays, or none when ``out = (dx, dy)`` gives them; the
+    result is then ``dx``.
     """
-    return _norm(rows[:, None, 0] - cols[None, :, 0], rows[:, None, 1] - cols[None, :, 1])
+    if out is None:
+        out = np.empty((len(rows), len(cols))), np.empty((len(rows), len(cols)))
+    dx, dy = out
+    np.subtract(rows[:, None, 0], cols[:, 0], out=dx)
+    np.subtract(rows[:, None, 1], cols[:, 1], out=dy)
+    return _norm(dx, dy)
 
 
 def _norm(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -99,7 +105,7 @@ def path_gains(r: np.ndarray, theta: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _check_distances(r: np.ndarray) -> np.ndarray:
-    if np.any(r == 0.0):
+    if r.size and r.min() == 0.0:  # distances are never negative
         raise ZeroDistanceError("coincident endpoints give an infinite gain")
     return r
 

@@ -255,19 +255,27 @@ def cell_counts(t: Topology) -> np.ndarray:
 
 
 def min_pairwise_distance(t: Topology) -> float:
-    """Smallest node-node or node-boundary-antenna distance (inf if none)."""
-    from scipy.spatial import cKDTree  # kept off the import path of the CLI
+    """Smallest node-node or node-boundary-antenna distance (inf if none).
 
+    Nodes and boundary antennas sorted by x are compared with the point s
+    places on, for s = 1, 2, ..., skipping antenna-antenna pairs.  The x gap
+    of every pair s or more places apart is at least the least x gap at s,
+    so the sweep stops once that exceeds the best distance found.  Memory is
+    O(n); the distance is ``sqrt(dx*dx + dy*dy)``, as in ``channel``.
+    """
+    pts = np.vstack([t.node_positions, t.boundary_antennas.reshape(-1, 2)])
+    order = np.argsort(pts[:, 0], kind="stable")
+    x, y = pts[order, 0], pts[order, 1]
+    node = order < len(t.node_positions)
     best = math.inf
-    pts = t.node_positions
-    if len(pts) >= 2:
-        tree = cKDTree(pts)
-        d, _ = tree.query(pts, k=2)
-        best = min(best, float(d[:, 1].min()))
-    ring = t.boundary_antennas.reshape(-1, 2)
-    if len(pts) >= 1 and len(ring) >= 1:
-        d, _ = cKDTree(pts).query(ring, k=1)
-        best = min(best, float(d.min()))
+    for s in range(1, len(pts)):
+        dx = x[s:] - x[:-s]
+        if dx.min() >= best:
+            break
+        dy = y[s:] - y[:-s]
+        d = np.sqrt(dx * dx + dy * dy)[node[s:] | node[:-s]]
+        if len(d):
+            best = min(best, float(d.min()))
     return best
 
 

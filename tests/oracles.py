@@ -6,7 +6,8 @@ closed-form region inequalities the classifier under test uses.
 
 The dense distance and MISO references are the one-shot forms that the
 blocked and tensor-free kernels in ``channel`` and ``cutset`` must equal
-bit for bit; the exp gain form and the per-cell MMSE-SIC loop are the ones
+bit for bit, and the per-cut builder over them is what the one-pass
+``cutset.cut_bounds`` must equal byte for byte; the exp gain form and the per-cell MMSE-SIC loop are the ones
 that ``channel.path_gains`` and the stacked ``protocols._sic_rates`` must
 equal bit for bit, and the one-pair gain matrix and 2-D log-determinant are
 what the blocked ``channel.node_gain_blocks`` and the stacked
@@ -24,6 +25,7 @@ from hybridscale.channel import (
     _phase,
     path_gains,
 )
+from hybridscale.cutset import _GROUPS, CutBound, _group_masks
 from hybridscale.scaling import SCHEME_CODES, best_scheme_grid
 
 ALPHA_SWEEP = np.linspace(2.001, 12.0, 571)
@@ -125,6 +127,43 @@ def dense_miso_bits(dest_pos, src_pos, src_amp, alpha):
         raise ZeroDistanceError("coincident endpoints give an infinite gain")
     amp = (src_amp[None, :] * r ** (-alpha / 2.0)).sum(axis=1)
     return np.log2(1.0 + amp * amp)
+
+
+def _per_cut(name, topo, alpha, p, src_bs, dest_bs, extra_dest, wired):
+    """Left nodes and the antennas of ``src_bs`` against the right nodes,
+    the antennas of ``dest_bs`` and ``extra_dest`` (owned by no BS)."""
+    left = topo.node_positions[:, 0] < topo.config.side / 2.0
+    ants = topo.antenna_positions
+    per_antenna = (topo.n * p / topo.m) / topo.l
+    src_pos = np.vstack([topo.node_positions[left], ants[src_bs].reshape(-1, 2)])
+    src_amp = np.concatenate([
+        np.full(int(left.sum()), math.sqrt(p)),
+        np.full(len(src_bs) * topo.l, math.sqrt(per_antenna)),
+    ])
+    dest_pos = np.vstack(
+        [topo.node_positions[~left], ants[dest_bs].reshape(-1, 2), extra_dest]
+    )
+    dest_owner = np.concatenate([
+        np.full(int((~left).sum()), -1),
+        np.repeat(dest_bs, topo.l),
+        np.full(len(extra_dest), -1),
+    ])
+    bits = dense_miso_bits(dest_pos, src_pos, src_amp, alpha)
+    masks = _group_masks(topo, dest_pos, dest_owner)
+    terms = {g: float(bits[masks[g]].sum()) for g in _GROUPS}
+    return CutBound(name, terms, wired, sum(terms.values()) + wired)
+
+
+def per_cut_bounds(topo, ch, cfg):
+    """(L1, L2), each cut built on its own over the dense MISO reference."""
+    left_bs = topo.bs_centers[:, 0] < topo.config.side / 2.0
+    n_left = int(left_bs.sum())
+    l1 = _per_cut("L1", topo, ch.alpha, cfg.p, np.arange(0), np.arange(topo.m),
+                  topo.rcp_position[None, :], 0.0)
+    l2 = _per_cut("L2", topo, ch.alpha, cfg.p, np.nonzero(left_bs)[0],
+                  np.nonzero(~left_bs)[0], np.zeros((0, 2)),
+                  n_left * cfg.r_bs if n_left else 0.0)
+    return l1, l2
 
 
 def exp_gains(r, theta, alpha):

@@ -6,15 +6,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hybridscale import cutset
 from hybridscale.channel import ChannelRealization, ZeroDistanceError
 from hybridscale.cutset import (
-    BLOCK, CutBound, bound_l1, bound_l2, min_cut, _group_masks, _miso_bits,
+    BLOCK, CutBound, bound_l1, bound_l2, cut_bounds, min_cut, _group_masks, _miso_bits,
 )
 from hybridscale.protocols import SimConfig, best_of_schemes
+from hybridscale.scaling import ScalingPoint, map_finite_n
 from hybridscale.topology import Topology, TopologyConfig, generate_topology
 
-from oracles import dense_miso_bits
+from oracles import dense_miso_bits, per_cut_bounds
 
 
 def _fixed_topo(nodes, antennas, m=1, l=1):
@@ -268,3 +272,111 @@ def test_cut_bounds_keep_memory_far_below_the_pair_count():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def _same_as_per_cut(topo, ch, cfg):
+    got = [b.to_json() for b in cut_bounds(topo, ch, cfg)]
+    assert got == [b.to_json() for b in per_cut_bounds(topo, ch, cfg)]
+
+
+def _tiny_instance():
+    """The n = 4 instance of the strict xfail in test_cli: every node is right
+    of the midline, so neither cut has a node source."""
+    fm = map_finite_n(4, ScalingPoint(alpha=6.0, beta=0.0, gamma=0.1, eta=-1.0))
+    topo = generate_topology(TopologyConfig(n=4, m=fm.m, l=fm.l, seed=10))
+    assert not np.any(topo.node_positions[:, 0] < topo.config.side / 2.0)
+    return topo, ChannelRealization(topo, alpha=6.0, phase_seed=10), SimConfig(
+        p=1.0, r_bs=fm.r_bs)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 4.0])
+@pytest.mark.parametrize("p", [0.0, 10.0])
+@pytest.mark.parametrize("r_bs", [0.0, 1.0, math.inf])
+@pytest.mark.parametrize("n, m, l", [(256, 1, 1), (256, 16, 1), (300, 9, 3)])
+def test_cut_bounds_equal_the_per_cut_oracle(n, m, l, r_bs, p, alpha):
+    """At m = 1 the one BS sits on the midline, so no BS is left of it."""
+    topo, ch = _instance(n, m, l, alpha, 1)
+    _same_as_per_cut(topo, ch, SimConfig(p=p, r_bs=r_bs))
+
+
+def test_cut_bounds_with_every_node_right_of_the_midline():
+    _same_as_per_cut(*_tiny_instance())
+
+
+# 7 pairs: one-row blocks; 1000 pairs: about 6 shared and 7 L1-only rows a
+# block at n = 256, m = 16, l = 4, so edges fall inside both row sets
+@pytest.mark.parametrize("block", [7, 1000])
+@pytest.mark.parametrize("m, l", [(16, 4), (4, 9)])
+def test_cut_bounds_do_not_depend_on_the_block_size(monkeypatch, block, m, l):
+    topo, ch = _instance(256, m, l, 3.0, 2)
+    cfg = SimConfig(p=100.0, r_bs=1.0)
+    want = [b.to_json() for b in cut_bounds(topo, ch, cfg)]
+    monkeypatch.setattr(cutset, "BLOCK", block)
+    assert [b.to_json() for b in cut_bounds(topo, ch, cfg)] == want
+    _same_as_per_cut(topo, ch, cfg)
+
+
+@st.composite
+def _small_instances(draw):
+    n = draw(st.integers(4, 80))
+    m = draw(st.sampled_from([k * k for k in (1, 2, 3) if k * k < n]))
+    l = draw(st.integers(1, max(1, min(5, n // m))))
+    topo = generate_topology(TopologyConfig(n=n, m=m, l=l, seed=draw(st.integers(0, 999))))
+    ch = ChannelRealization(topo, alpha=draw(st.floats(2.0, 5.0)))
+    cfg = SimConfig(p=draw(st.sampled_from([0.0, 0.5, 100.0])),
+                    r_bs=draw(st.sampled_from([0.0, 1.0, math.inf])))
+    return topo, ch, cfg, draw(st.sampled_from([BLOCK, 1, 5, 40]))
+
+
+@given(_small_instances())
+@settings(max_examples=150, deadline=None)
+def test_cut_bounds_equal_the_per_cut_oracle_on_small_instances(case):
+    topo, ch, cfg, block = case
+    saved, cutset.BLOCK = cutset.BLOCK, block
+    try:
+        _same_as_per_cut(topo, ch, cfg)
+    finally:
+        cutset.BLOCK = saved
+
+
+def _coincident_topo(bs, node):
+    """n = 16 nodes and 4 BSs of one antenna each (BSs 0 and 1 are left of the
+    midline), with the antenna of BS ``bs`` placed on node ``node``."""
+    nodes = np.random.default_rng(3).uniform(0.1, 3.9, (16, 2))
+    nodes[0, 0], nodes[15, 0] = 0.5, 3.5  # one node on each side at least
+    ants = np.array([[1.0, 1.0], [1.0, 3.0], [3.0, 1.0], [3.0, 3.0]])
+    ants[bs] = nodes[node]
+    return _fixed_topo(nodes, ants, m=4, l=1)
+
+
+def test_cut_bounds_find_a_coincidence_in_the_last_shared_block(monkeypatch):
+    # the last shared row is the antenna of BS 3, the last right BS
+    topo = _coincident_topo(3, 0)
+    monkeypatch.setattr(cutset, "BLOCK", 1)
+    with pytest.raises(ZeroDistanceError):
+        cut_bounds(topo, ChannelRealization(topo, alpha=3.0), SimConfig(p=1.0))
+
+
+def test_cut_bounds_find_a_left_bs_antenna_on_a_left_node():
+    # only L1's own rows meet it: the antenna of BS 0 is an L2 source
+    topo = _coincident_topo(0, 0)
+    ch, cfg = ChannelRealization(topo, alpha=3.0), SimConfig(p=1.0)
+    with pytest.raises(ZeroDistanceError):
+        cut_bounds(topo, ch, cfg)
+    with pytest.raises(ZeroDistanceError):
+        per_cut_bounds(topo, ch, cfg)
+
+
+@pytest.mark.parametrize("n, m, l", [(4096, 64, 8), (16384, 121, 11)])
+def test_cut_bounds_memory_does_not_grow_with_n(n, m, l):
+    """The infra sweep's point at its largest size and at n = 16384: the
+    block buffers and O(n) per-destination arrays stay under 4 MB."""
+    topo, ch = _instance(n, m, l, 3.0, 0)
+    cfg = SimConfig(p=100.0, r_bs=1.0)
+    tracemalloc.start()
+    try:
+        cut_bounds(topo, ch, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

@@ -206,6 +206,26 @@ def test_min_distance_whp_thresholds():
     assert np.mean(d > n ** -0.75) >= 0.90
 
 
+@pytest.mark.parametrize("n, m, l", [(16, 1, 1), (256, 16, 4), (4096, 64, 8),
+                                     (2048, 81, 10)])
+def test_min_distance_equals_a_kd_tree(n, m, l):
+    """Exactly the nearest-neighbour distance of scipy's cKDTree."""
+    from scipy.spatial import cKDTree
+
+    for seed in range(5):
+        t = generate_topology(TopologyConfig(n=n, m=m, l=l, seed=seed))
+        pts, ring = t.node_positions, t.boundary_antennas.reshape(-1, 2)
+        tree = cKDTree(pts)
+        want = min(float(tree.query(pts, k=2)[0][:, 1].min()),
+                   float(tree.query(ring, k=1)[0].min()))
+        assert min_pairwise_distance(t) == want
+
+
+def test_min_distance_finds_coincident_points():
+    t = _manual_topology([[1.0, 1.0], [2.0, 0.5], [1.0, 1.0]], n=3)
+    assert min_pairwise_distance(t) == 0.0
+
+
 def test_max_nodes_unit_square_exact_cases():
     t = _manual_topology([[0.5, 0.5], [1.5, 0.5], [0.5, 1.5], [1.5, 1.5]], n=4)
     assert max_nodes_unit_square(t) == 1
