@@ -189,13 +189,14 @@ def cut_bounds(
     left = nodes[:, 0] < mid
     left_bs = topo.bs_centers[:, 0] < mid
     lbs, rbs = np.nonzero(left_bs)[0], np.nonzero(~left_bs)[0]
-    n_left, n_right = int(left.sum()), int((~left).sum())
+    right = nodes[~left]
+    n_left, n_right = len(nodes) - len(right), len(right)
     src = np.vstack([nodes[left], ants[lbs].reshape(-1, 2)])
     amp = np.concatenate([
         np.full(n_left, math.sqrt(cfg.p)),
         np.full(len(lbs) * l, math.sqrt((topo.n * cfg.p / m) / l)),
     ])
-    shared = np.vstack([nodes[~left], ants[rbs].reshape(-1, 2)])
+    shared = np.vstack([right, ants[rbs].reshape(-1, 2)])
     own = np.vstack([ants[lbs].reshape(-1, 2), topo.rcp_position[None, :]])
 
     out = _buffers((len(shared), len(src)), (len(own), n_left))
@@ -207,7 +208,7 @@ def cut_bounds(
     l1_ant[lbs] = l1_own[:-1].reshape(-1, l)
     l1 = _evaluate(
         "L1", topo,
-        np.vstack([nodes[~left], ants.reshape(-1, 2), topo.rcp_position[None, :]]),
+        np.vstack([right, ants.reshape(-1, 2), topo.rcp_position[None, :]]),
         np.concatenate([np.full(n_right, -1), np.repeat(np.arange(m), l), [-1]]),
         np.concatenate([l1_shared[:n_right], l1_ant.ravel(), l1_own[-1:]]),
         0.0,
