@@ -69,6 +69,16 @@ BOUND_COLUMNS = (
 #: SimConfig fields that only ``simulate`` sets; their defaults are SimConfig's
 _SIM_KNOBS = ("tdma_k", "hc_cluster_exponent", "hc_quant_bits")
 
+#: the default of each optional flag by destination, the same in every
+#: subcommand that has the flag; a flag not listed here is required
+_DEFAULTS = {
+    "json": False, "output": None, "format": "csv",
+    "beta_grid": (0.0, 0.95, 20), "gamma_grid": (0.0, 0.95, 20),
+    "alphas": (2.5, 3.0, 5.0),
+    "seeds": None, "num_seeds": None, "seed_base": 0, "power": 100.0,
+    "schemes": tuple(_RUNNERS), **{k: getattr(SimConfig, k) for k in _SIM_KNOBS},
+}
+
 
 class ConfigError(Exception):
     """Bad config file, bad flag combination, or bad parameter value."""
@@ -92,9 +102,6 @@ def _load_config(path: str) -> dict:
             f"got {raw.get('schema_version')!r}"
         )
     return {k: v for k, v in raw.items() if k != "schema_version"}
-
-
-_REQUIRED = object()
 
 
 def _typed(action: argparse.Action, value):
@@ -122,24 +129,26 @@ def _typed(action: argparse.Action, value):
     return items if action.nargs is not None else items[0]
 
 
-def _effective(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge defaults < config file < explicit flags (flags parse to None)."""
+def _effective(args: argparse.Namespace) -> dict:
+    """Merge defaults < config file < explicit flags (flags parse to None).
+
+    The subcommand's flags are its options, and its only config keys."""
     config = _load_config(args.config) if getattr(args, "config", None) else {}
-    unknown = set(config) - set(defaults)
+    actions = [a for a in args.parser._actions if a.dest != "help"]
+    unknown = set(config) - {a.dest for a in actions}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    actions = {a.dest: a for a in args.parser._actions}
     out = {}
-    for key, fallback in defaults.items():
-        flag = getattr(args, key, None)
+    for action in actions:
+        key, flag = action.dest, getattr(args, action.dest)
         if flag is not None:
             out[key] = flag
         elif key in config:
-            out[key] = _typed(actions[key], config[key])
-        elif fallback is _REQUIRED:
-            raise ConfigError(f"missing required option --{key.replace('_', '-')}")
+            out[key] = _typed(action, config[key])
+        elif key in _DEFAULTS:
+            out[key] = _DEFAULTS[key]
         else:
-            out[key] = fallback
+            raise ConfigError(f"missing required option --{key.replace('_', '-')}")
     return out
 
 
@@ -162,6 +171,8 @@ def _resolve_seeds(opts: dict) -> list[int]:
 
 def _grid(spec, name: str) -> np.ndarray:
     lo, hi, steps = spec
+    if not all(map(math.isfinite, spec)):
+        raise ConfigError(f"{name} grid must be finite, got {' '.join(map(str, spec))}")
     if steps != int(steps) or int(steps) < 1:
         raise ConfigError(f"{name} steps must be a positive integer, got {steps}")
     if hi < lo:
@@ -243,11 +254,7 @@ def _point(opts: dict) -> ScalingPoint:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_exponent(args: argparse.Namespace) -> int:
-    opts = _effective(args, {
-        "alpha": _REQUIRED, "beta": _REQUIRED, "gamma": _REQUIRED,
-        "eta": _REQUIRED, "json": False,
-    })
+def _cmd_exponent(opts: dict) -> int:
     p = _point(opts)
     report = classify_regime_3d(p.beta, p.gamma, p.eta, alpha=p.alpha)
     eta_star = min_backhaul_exponent(p.beta, p.gamma, report.label2d)
@@ -291,13 +298,7 @@ def _sweep(opts: dict) -> tuple[np.ndarray, np.ndarray, dict]:
     return beta[inside], gamma[inside], grids
 
 
-def _cmd_regime_map(args: argparse.Namespace) -> int:
-    opts = _effective(args, {
-        "eta": _REQUIRED,
-        "beta_grid": (0.0, 0.95, 20), "gamma_grid": (0.0, 0.95, 20),
-        "alphas": (2.5, 3.0, 5.0),
-        "output": None, "format": "csv",
-    })
+def _cmd_regime_map(opts: dict) -> int:
     eta, alphas = opts["eta"], opts["alphas"]
     if not all(math.isfinite(a) and a > 2.0 for a in alphas):
         raise ConfigError("reference alphas must be finite and exceed 2")
@@ -315,11 +316,7 @@ def _cmd_regime_map(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_min_backhaul(args: argparse.Namespace) -> int:
-    opts = _effective(args, {
-        "beta_grid": (0.0, 0.95, 20), "gamma_grid": (0.0, 0.95, 20),
-        "output": None, "format": "csv",
-    })
+def _cmd_min_backhaul(opts: dict) -> int:
     beta, gamma, grids = _sweep(opts)
     labels = regime_label_grid(beta, gamma, INF)
     eta_star = min_backhaul_exponent_grid(beta, gamma, labels)
@@ -330,15 +327,6 @@ def _cmd_min_backhaul(args: argparse.Namespace) -> int:
     _emit(opts, {"command": "min-backhaul", **grids},
           ["beta", "gamma", "regime", "eta_star", "negligible"], rows, [], {})
     return 0
-
-
-def _sim_defaults() -> dict:
-    return {
-        "sizes": _REQUIRED, "alpha": _REQUIRED, "beta": _REQUIRED,
-        "gamma": _REQUIRED, "eta": _REQUIRED,
-        "seeds": None, "num_seeds": None, "seed_base": 0, "power": 100.0,
-        "output": None, "format": "csv",
-    }
 
 
 def _instances(opts: dict, p: ScalingPoint, seeds: list[int]):
@@ -367,13 +355,11 @@ def _run_header(command: str, p: ScalingPoint, opts: dict, seeds: list[int]) -> 
             "sizes": " ".join(map(str, opts["sizes"])), "seeds": " ".join(map(str, seeds))}
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    opts = _effective(args, {**_sim_defaults(), "schemes": list(_RUNNERS),
-                             **{k: getattr(SimConfig, k) for k in _SIM_KNOBS}})
+def _cmd_simulate(opts: dict) -> int:
     seeds = _resolve_seeds(opts)
     schemes = [s.upper() for s in opts["schemes"]]
     bad = [s for s in schemes if s not in _RUNNERS]
-    if bad or not schemes:
+    if bad:
         raise ConfigError(f"unknown schemes {bad}; choose from {list(_RUNNERS)}")
     schemes = [s for s in _RUNNERS if s in schemes]
     p = _point(opts)
@@ -422,8 +408,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bound(args: argparse.Namespace) -> int:
-    opts = _effective(args, _sim_defaults())
+def _cmd_bound(opts: dict) -> int:
     seeds = _resolve_seeds(opts)
     p = _point(opts)
     rows = []
@@ -536,7 +521,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(_effective(args))
     except (ConfigError, InvalidPointError, InfeasibleGeometryError,
             EmptyRoutingCellError, ZeroDistanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -93,25 +93,24 @@ def _buffers(*sets) -> tuple[np.ndarray, np.ndarray]:
     return np.empty(size), np.empty(size)
 
 
-def _amp_sums(dest_pos, src_pos, src_amp, alpha, prefix=None, out=None):
-    """Per-destination sum_i amp_i * r_i^(-alpha/2) over all sources and, when
-    ``prefix`` is given, over the first ``prefix`` sources too.
+def _amp_sums(dest_pos, src_pos, src_amp, alpha, prefix, out):
+    """Per-destination sum_i amp_i * r_i^(-alpha/2) over all sources, and
+    over the first ``prefix`` sources.
 
     Destinations are taken in row blocks of ``_rows(len(src_pos))``; each
-    block is computed in place in the flat ``out = (dx, dy)`` buffers, which
-    hold at least one block.  Beside the results the working memory is
-    O(BLOCK + len(src_pos)) floats, however many (destination, source) pairs
-    there are.  Each row sums the same sources in the same order as one
-    dense pass would, and a prefix view of a row sums like a row of its own,
-    so the result depends neither on the block size nor on ``prefix``.
+    block is computed in place in the flat ``out = (dx, dy)`` buffers from
+    ``_buffers``, which hold at least one block.  Beside the results the
+    working memory is O(BLOCK + len(src_pos)) floats, however many
+    (destination, source) pairs there are.  Each row sums the same sources
+    in the same order as one dense pass would, and a prefix view of a row
+    sums like a row of its own, so the result depends neither on the block
+    size nor on ``prefix``.
     """
     full, pre = np.zeros(len(dest_pos)), np.zeros(len(dest_pos))
     n_src = len(src_pos)
     if n_src == 0:
         return full, pre
     rows = _rows(n_src)
-    if out is None:
-        out = _buffers((len(dest_pos), n_src))
     src = np.asfortranarray(src_pos)  # contiguous x and y columns
     for lo in range(0, len(dest_pos), rows):
         block = dest_pos[lo:lo + rows]
@@ -121,20 +120,12 @@ def _amp_sums(dest_pos, src_pos, src_amp, alpha, prefix=None, out=None):
         r **= -alpha / 2.0
         r *= src_amp
         r.sum(axis=1, out=full[lo:lo + rows])
-        if prefix is not None:
-            r[:, :prefix].sum(axis=1, out=pre[lo:lo + rows])
+        r[:, :prefix].sum(axis=1, out=pre[lo:lo + rows])
     return full, pre
 
 
 def _bits(amp: np.ndarray) -> np.ndarray:
     return np.log2(1.0 + amp * amp)
-
-
-def _miso_bits(
-    dest_pos: np.ndarray, src_pos: np.ndarray, src_amp: np.ndarray, alpha: float
-) -> np.ndarray:
-    """Per-destination log2(1 + (sum_i amp_i * r_i^(-alpha/2))^2), blocked."""
-    return _bits(_amp_sums(dest_pos, src_pos, src_amp, alpha)[0])
 
 
 def _group_masks(
@@ -201,7 +192,7 @@ def cut_bounds(
 
     out = _buffers((len(shared), len(src)), (len(own), n_left))
     l2_amp, l1_shared = _amp_sums(shared, src, amp, ch.alpha, n_left, out)
-    l1_own, _ = _amp_sums(own, src[:n_left], amp[:n_left], ch.alpha, out=out)
+    l1_own, _ = _amp_sums(own, src[:n_left], amp[:n_left], ch.alpha, 0, out)
 
     l1_ant = np.empty((m, l))
     l1_ant[rbs] = l1_shared[n_right:].reshape(-1, l)

@@ -352,24 +352,21 @@ def simulate_imh(topo: Topology, ch: ChannelRealization, cfg: SimConfig) -> SimR
 _SIC_BLOCK = 1 << 14  # covariance entries updated at once, keeping them in cache
 
 
-def _sic_rates(h_cells: np.ndarray, noise_inv: np.ndarray,
+def _sic_rates(h: np.ndarray, noise_inv: np.ndarray,
                power: float | np.ndarray) -> np.ndarray:
     """Per-user MMSE-SIC rates, ascending decode order over columns.
 
-    ``h_cells`` is a stack of cells (m, l, K) with inverse noise covariances
-    (m, l, l) and one power per cell, or a single (l, k) cell with its
-    (l, l) inverse and one power.  User i of a cell is decoded with users
+    ``h`` is a stack of cells (m, l, K); ``noise_inv`` holds their inverse
+    noise covariances (m, l, l) or one (l, l) for all, and ``power`` one
+    power per cell or one for all.  User i of a cell is decoded with users
     > i still present, so rates are computed from the last column down
     while accumulating decoded users into each cell's effective covariance
     via rank-1 inverse updates.  A cell with fewer than K users is
     zero-padded at the end and gets rate 0 there.  Cells are taken in
     blocks of similar user counts, about ``_SIC_BLOCK`` covariance entries
     a block, and each block runs its rank-1 updates one column index at a
-    time for all its cells at once.  Returns (m, K) rates, or (k,) for a
-    single cell.
+    time for all its cells at once.  Returns (m, K) rates.
     """
-    single = h_cells.ndim == 2
-    h = h_cells[None] if single else h_cells
     m, l, kk = h.shape
     power = np.broadcast_to(np.asarray(power, dtype=float), (m,))
     noise_inv = np.broadcast_to(noise_inv, (m, l, l))
@@ -393,15 +390,7 @@ def _sic_rates(h_cells: np.ndarray, noise_inv: np.ndarray,
             outer = mh * np.conj(mh).transpose(0, 2, 1)
             outer *= (pb / snr)[:, None, None]
             minv -= outer
-    return rates[0] if single else rates
-
-
-def cell_sum_rate(h_cell: np.ndarray, noise: np.ndarray, power: float) -> float:
-    """log2 det(I + P H H^t N^-1): the MMSE-SIC sum-capacity oracle."""
-    l = h_cell.shape[0]
-    m = np.eye(l) + power * (h_cell @ h_cell.conj().T) @ np.linalg.inv(noise)
-    sign, logdet = np.linalg.slogdet(m)
-    return float(logdet / math.log(2.0))
+    return rates
 
 
 def simulate_ish(topo: Topology, ch: ChannelRealization, cfg: SimConfig) -> SimResult:
@@ -482,14 +471,6 @@ def hc_long_range_rates(ch: ChannelRealization, groups, pairs, power: float) -> 
             rates[run] = np.linalg.slogdet(mat)[1] / math.log(2.0)
             o += h.size
     return rates
-
-
-def hc_long_range_rate(
-    ch: ChannelRealization, tx_nodes: np.ndarray, rx_nodes: np.ndarray, power: float
-) -> float:
-    """Sum rate of the cluster-to-cluster MIMO hop, power/|A| per transmitter:
-    the one-pair case of ``hc_long_range_rates``."""
-    return float(hc_long_range_rates(ch, [tx_nodes, rx_nodes], [(0, 1)], power)[0])
 
 
 def _cluster_nn_rate(pos: np.ndarray, members: np.ndarray, p: float, alpha: float) -> float:

@@ -7,11 +7,13 @@ closed-form region inequalities the classifier under test uses.
 The dense distance and MISO references are the one-shot forms that the
 blocked and tensor-free kernels in ``channel`` and ``cutset`` must equal
 bit for bit, and the per-cut builder over them is what the one-pass
-``cutset.cut_bounds`` must equal byte for byte; the exp gain form and the per-cell MMSE-SIC loop are the ones
-that ``channel.path_gains`` and the stacked ``protocols._sic_rates`` must
-equal bit for bit, and the one-pair gain matrix and 2-D log-determinant are
-what the blocked ``channel.node_gain_blocks`` and the stacked
-``protocols.hc_long_range_rates`` must equal bit for bit.
+``cutset.cut_bounds`` must equal byte for byte; the exp gain form and the
+per-cell MMSE-SIC loop are the ones that ``channel.path_gains`` and the
+stacked ``protocols._sic_rates`` must equal bit for bit, and the one-pair
+gain matrix and 2-D log-determinant are what the blocked
+``channel.node_gain_blocks`` and the stacked ``protocols.hc_long_range_rates``
+must equal bit for bit.  The log-det sum capacity is what the rates of one
+``_sic_rates`` cell must add up to.
 """
 
 import math
@@ -183,6 +185,14 @@ def per_cell_sic_rates(h_cell, noise_inv, power):
         rates[i] = math.log2(1.0 + power * quad)
         minv = minv - (power / (1.0 + power * quad)) * np.outer(mh, np.conj(mh))
     return rates
+
+
+def cell_sum_rate(h_cell, noise, power):
+    """log2 det(I + P H H^h N^-1): the MMSE-SIC sum capacity of one cell."""
+    l = h_cell.shape[0]
+    m = np.eye(l) + power * (h_cell @ h_cell.conj().T) @ np.linalg.inv(noise)
+    _, logdet = np.linalg.slogdet(m)
+    return float(logdet / math.log(2.0))
 
 
 def pair_gain_matrix(ch, tx, rx):

@@ -1,9 +1,11 @@
 """CLI surface: reports, sweeps, reproducibility, exit codes."""
 
+import importlib.util
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -452,3 +454,153 @@ def test_emit_csv_body_matches_per_cell_fmt(capsys):
         assert lines[-len(rows) - 2] == ",".join(columns)
         assert lines[-len(rows) - 1:] == [",".join(map(cli._fmt, r)) for r in rows] + [
             "# trailer"]
+
+
+# ---------------------------------------------------------------------------
+# Option schema: each subcommand's flags are exactly its config keys
+# ---------------------------------------------------------------------------
+
+_GRID = [0.0, 0.5, 3]
+# every flag of each subcommand, keyed by its config key, with a value the
+# flag accepts; the required ones come first, in the order they are checked
+_OPTIONS = {
+    "exponent": {"alpha": 3.0, "beta": 0.0, "gamma": 0.0, "eta": 0.0, "json": True},
+    "regime-map": {"eta": 0.2, "alphas": [3.0], "beta_grid": _GRID,
+                   "gamma_grid": _GRID, "output": None, "format": "json"},
+    "min-backhaul": {"beta_grid": _GRID, "gamma_grid": _GRID, "output": None,
+                     "format": "json"},
+    "simulate": {"sizes": [64], "alpha": 3.0, "beta": 0.0, "gamma": 0.0, "eta": 0.0,
+                 "seeds": [0], "num_seeds": 1, "seed_base": 1, "schemes": ["MH"],
+                 "power": 10.0, "tdma_k": 4, "hc_cluster_exponent": 0.5,
+                 "hc_quant_bits": 4, "output": None, "format": "json"},
+    "bound": {"sizes": [64], "alpha": 3.0, "beta": 0.0, "gamma": 0.0, "eta": 0.0,
+              "seeds": [0], "num_seeds": 1, "seed_base": 1, "power": 10.0,
+              "output": None, "format": "json"},
+}
+_REQUIRED = {
+    "exponent": ["alpha", "beta", "gamma", "eta"],
+    "regime-map": ["eta"],
+    "min-backhaul": [],
+    "simulate": ["sizes", "alpha", "beta", "gamma", "eta"],
+    "bound": ["sizes", "alpha", "beta", "gamma", "eta"],
+}
+
+
+def _base_config(command):
+    """The required keys, plus the seeds and the one scheme a run needs."""
+    cfg = {k: _OPTIONS[command][k] for k in _REQUIRED[command]}
+    if command in ("simulate", "bound"):
+        cfg["seeds"] = [0]
+    if command == "simulate":
+        cfg["schemes"] = ["MH"]
+    return cfg
+
+
+def _run_config(tmp_path, capsys, cfg, command):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema_version": 1, **cfg}))
+    rc = cli.main(["--config", str(path), command])
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", list(_OPTIONS))
+def test_config_keys_are_the_flags_of_each_subcommand(command):
+    sub = cli.build_parser().parse_args([command]).parser
+    assert [a.dest for a in sub._actions if a.dest != "help"] == list(_OPTIONS[command])
+
+
+@pytest.mark.parametrize("command, key", [(c, k) for c, keys in _OPTIONS.items()
+                                          for k in keys])
+def test_each_flag_is_accepted_as_a_config_key(tmp_path, capsys, command, key):
+    cfg = _base_config(command)
+    value = _OPTIONS[command][key]
+    if key == "output":
+        value = str(tmp_path / "out")
+    if key in ("num_seeds", "seed_base"):  # --num-seeds excludes --seeds
+        del cfg["seeds"]
+        cfg["num_seeds"] = 1
+    cfg[key] = value
+    assert _run_config(tmp_path, capsys, cfg, command) == (0, "")
+    if key == "output":
+        assert (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, key", [(c, k) for c, keys in _REQUIRED.items()
+                                          for k in keys])
+def test_missing_required_option_is_one_line_error(capsys, command, key):
+    argv = [command]
+    for k, v in _base_config(command).items():
+        if k != key:
+            argv += [f"--{k}", *map(str, v if isinstance(v, list) else [v])]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: missing required option --{key}\n"
+
+
+@pytest.mark.parametrize("command", [c for c in _REQUIRED if _REQUIRED[c]])
+def test_first_missing_required_option_is_named(capsys, command):
+    assert cli.main([command]) == 2
+    first = _REQUIRED[command][0]
+    assert capsys.readouterr().err == f"error: missing required option --{first}\n"
+
+
+@pytest.mark.parametrize("command, key", [
+    ("exponent", "sizes"), ("exponent", "output"), ("regime-map", "alpha"),
+    ("min-backhaul", "eta"), ("simulate", "json"), ("simulate", "alphas"),
+    ("bound", "alphas"), ("bound", "schemes"), ("bound", "tdma_k"),
+])
+def test_config_key_of_another_subcommand_is_rejected(tmp_path, capsys, command, key):
+    value = next(o[key] for o in _OPTIONS.values() if key in o)
+    cfg = {**_base_config(command), key: value}
+    assert _run_config(tmp_path, capsys, cfg, command) == (
+        2, f"error: unknown config keys: ['{key}']\n")
+
+
+# a "-inf" token after a grid flag reads as an option to argparse, which
+# rejects it with its usage text, so -inf reaches a grid only from a config
+_NON_FINITE_GRIDS = [
+    (command, grid, slot, value, source)
+    for command in ("regime-map", "min-backhaul")
+    for grid in ("beta", "gamma")
+    for slot in range(3)
+    for value in (math.nan, math.inf, -math.inf)
+    for source in ("flag", "config")
+    if not (source == "flag" and value < 0)
+]
+
+
+@pytest.mark.parametrize("command, grid, slot, value, source", _NON_FINITE_GRIDS)
+def test_non_finite_grid_spec_is_one_line_error(tmp_path, capsys, command, grid,
+                                                slot, value, source):
+    spec = list(_GRID)
+    spec[slot] = value
+    out = tmp_path / "o.csv"
+    argv = [command, "-o", str(out)]
+    if command == "regime-map":
+        argv += ["--eta", "0"]
+    if source == "flag":
+        argv += [f"--{grid}-grid", *map(str, spec)]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"schema_version": 1, f"{grid}_grid": spec}))
+        argv = ["--config", str(path), *argv]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {grid} grid must be finite, got ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_traced_call_runs_and_puts_every_patched_name_back(capsys):
+    """The benchmark's tracer swaps names of ``cli`` for timed wrappers."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    before = {name: getattr(cli, name) for name in tracing._PATCHED}
+    runners = dict(cli._RUNNERS)
+    with tracing.Tracer().installed(cli):
+        assert cli.main(["bound", "--sizes", "64", "--seeds", "0", "--alpha", "3",
+                         "--beta", "0", "--gamma", "0", "--eta", "0"]) == 0
+    assert capsys.readouterr().err == ""
+    assert all(getattr(cli, name) is fn for name, fn in before.items())
+    assert cli._RUNNERS == runners

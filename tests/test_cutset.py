@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from hybridscale import cutset
 from hybridscale.channel import ChannelRealization, ZeroDistanceError
 from hybridscale.cutset import (
-    BLOCK, CutBound, bound_l1, bound_l2, cut_bounds, min_cut, _group_masks, _miso_bits,
+    BLOCK, CutBound, bound_l1, bound_l2, cut_bounds, min_cut, _amp_sums, _bits,
+    _buffers, _group_masks,
 )
 from hybridscale.protocols import SimConfig, best_of_schemes
 from hybridscale.scaling import ScalingPoint, map_finite_n
@@ -237,13 +238,16 @@ def _points(rng, k):
 # 0, 1, b-1, b, b+1 and 2b+1 destination rows
 @pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
 def test_miso_bits_equal_the_dense_oracle(n_src, blocks, extra):
+    """The blocked sums over all sources and over the first half of them."""
     n_dest = blocks * max(1, BLOCK // max(n_src, 1)) + extra
     rng = np.random.default_rng([n_src, n_dest])
     dest, src = _points(rng, n_dest), _points(rng, n_src)
     amp = rng.uniform(0.5, 20.0, n_src)
-    got = _miso_bits(dest, src, amp, 3.3)
-    assert got.shape == (n_dest,)
-    assert np.array_equal(got, dense_miso_bits(dest, src, amp, 3.3))
+    k = n_src // 2
+    full, pre = _amp_sums(dest, src, amp, 3.3, k, _buffers((n_dest, n_src)))
+    assert full.shape == pre.shape == (n_dest,)
+    assert np.array_equal(_bits(full), dense_miso_bits(dest, src, amp, 3.3))
+    assert np.array_equal(_bits(pre), dense_miso_bits(dest, src[:k], amp[:k], 3.3))
 
 
 def test_miso_bits_finds_a_coincident_pair_in_the_last_block():
@@ -253,7 +257,7 @@ def test_miso_bits_finds_a_coincident_pair_in_the_last_block():
     dest = _points(rng, 2 * b + 1)
     dest[-1] = src[350]  # the last block holds only this row
     with pytest.raises(ZeroDistanceError):
-        _miso_bits(dest, src, np.ones(700), 3.0)
+        _amp_sums(dest, src, np.ones(700), 3.0, 350, _buffers((len(dest), 700)))
 
 
 def test_cut_bounds_keep_memory_far_below_the_pair_count():

@@ -15,10 +15,9 @@ from hybridscale.protocols import (
     EmptyRoutingCellError,
     SimConfig,
     best_of_schemes,
-    cell_sum_rate,
     estimate_hc_single_level,
     fit_scaling_exponent,
-    hc_long_range_rate,
+    hc_long_range_rates,
     routing_grid_size,
     simulate_imh,
     simulate_ish,
@@ -28,7 +27,7 @@ from hybridscale.protocols import (
 from hybridscale.scaling import ScalingPoint, map_finite_n
 from hybridscale.topology import Topology, TopologyConfig, generate_topology
 
-from oracles import pair_long_range_rate, per_cell_sic_rates
+from oracles import cell_sum_rate, pair_long_range_rate, per_cell_sic_rates
 
 
 def _topo(nodes, antennas=None, m=1, l=1, pairing=None):
@@ -297,7 +296,7 @@ def test_ish_single_user_rate_matches_scalar_formula():
     h_own = ch.uplink_matrix(0, np.array([0]))
     h_out = ch.uplink_matrix(0, np.array([1, 2, 3, 4]))
     noise = np.eye(1) + 4.0 * (h_out @ h_out.conj().T)
-    rates = _sic_rates(h_own, np.linalg.inv(noise), 4.0)
+    rates = _sic_rates(h_own[None], np.linalg.inv(noise), 4.0)[0]
     assert rates[0] == pytest.approx(math.log2(1.0 + 4.0 * 0.5**-3.0), rel=1e-9)
 
 
@@ -325,7 +324,8 @@ def test_stacked_sic_equals_per_cell_loop_bit_for_bit(cells_per_block, monkeypat
     for c, k in enumerate(sizes):
         want = per_cell_sic_rates(h[c, :, :k], noise_inv[c], powers[c])
         assert rates[c, :k].tobytes() == want.tobytes()
-        assert _sic_rates(h[c, :, :k], noise_inv[c], powers[c]).tobytes() == want.tobytes()
+        alone = _sic_rates(h[c : c + 1, :, :k], noise_inv[c], powers[c])[0]
+        assert alone.tobytes() == want.tobytes()
         assert not rates[c, k:].any()
 
 
@@ -340,7 +340,7 @@ def test_ish_sic_chain_matches_logdet():
     h_out = ch.uplink_matrix(b, out)
     p = 7.0
     noise = np.eye(topo.l) + p * (h_out @ h_out.conj().T)
-    rates = _sic_rates(h_own, np.linalg.inv(noise), p)
+    rates = _sic_rates(h_own[None], np.linalg.inv(noise), p)[0]
     assert float(rates.sum()) == pytest.approx(
         cell_sum_rate(h_own, noise, p), abs=1e-9
     )
@@ -354,7 +354,7 @@ def test_ish_sic_chain_matches_logdet():
     )
     ch2 = ChannelRealization(topo2, alpha=2.0)
     h = ch2.uplink_matrix(0, np.array([0, 1]))
-    rates2 = _sic_rates(h, np.eye(2, dtype=complex), 3.0)
+    rates2 = _sic_rates(h[None], np.eye(2, dtype=complex), 3.0)[0]
     direct = math.log2(
         float(np.real(np.linalg.det(np.eye(2) + 3.0 * (h @ h.conj().T))))
     )
@@ -411,7 +411,7 @@ def test_hc_long_range_rate_matches_dense_logdet():
     topo, ch, _ = _instance(256, 0.0, 0.0, math.inf, 2.5, 3)
     a_nodes = np.array([0, 1, 2])
     b_nodes = np.array([10, 11])
-    got = hc_long_range_rate(ch, a_nodes, b_nodes, 6.0)
+    got = hc_long_range_rates(ch, [a_nodes, b_nodes], [(0, 1)], 6.0)[0]
     h = ch.node_gain_matrix(a_nodes, b_nodes)
     mat = np.eye(2) + 2.0 * (h @ h.conj().T)
     want = math.log2(float(np.real(np.linalg.det(mat))))
