@@ -9,12 +9,23 @@ supply any option; explicit flags win.  All randomness flows from the
 seeds given on the command line or in the config — there is no
 wall-clock seeding anywhere.
 
+``simulate`` and ``bound`` build each (n, seed) instance in this process,
+in order, then evaluate its units (its cut bound, and each requested
+scheme) on ``--jobs`` forked worker processes, largest n first.  The units
+reach the workers as indices into state they inherit, and only their
+results come back; rows, checks and slopes are put together in serial
+order, so the output bytes do not depend on ``--jobs``.  The default is
+every usable core when BLAS runs on one thread (``OPENBLAS_NUM_THREADS``,
+else ``OMP_NUM_THREADS``, is 1), and 1 otherwise, where BLAS threads
+would oversubscribe the cores.
+
 CSV files start with ``# key=value`` comment lines carrying the full
 effective configuration (sorted by key), so re-running the embedded
 configuration reproduces the file byte for byte.  Exit codes: 0 on
-success, 2 for invalid configuration, usage or geometry, 3 when a run
+success, 1 when a worker process died, 2 for invalid configuration,
+usage or geometry, or a rate or cut that is not finite, 3 when a run
 detects an invariant violation (a simulated aggregate exceeding the
-cut-set bound).
+cut-set bound).  An error is the first one in serial order.
 
 Simulation CSV columns: scheme,n,m,l,R_BS,alpha,seed,aggregate,access,
 backhaul,exit — one row per (scheme, n, seed) plus a MIN_CUT row per
@@ -29,6 +40,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -40,7 +52,12 @@ from .channel import ChannelRealization, ZeroDistanceError
 # and restores them among the names it wraps
 from .cutset import bound_l1, bound_l2, cut_bounds
 from .protocols import RUNNERS as _RUNNERS
-from .protocols import EmptyRoutingCellError, SimConfig, fit_scaling_exponent
+from .protocols import (
+    EmptyRoutingCellError,
+    NonFiniteRateError,
+    SimConfig,
+    fit_scaling_exponent,
+)
 from .scaling import (
     INF,
     InvalidPointError,
@@ -70,18 +87,23 @@ BOUND_COLUMNS = (
 _SIM_KNOBS = ("tdma_k", "hc_cluster_exponent", "hc_quant_bits")
 
 #: the default of each optional flag by destination, the same in every
-#: subcommand that has the flag; a flag not listed here is required
+#: subcommand that has the flag; a flag not listed here is required.  A
+#: ``jobs`` of None is the rule in ``_jobs``.
 _DEFAULTS = {
     "json": False, "output": None, "format": "csv",
     "beta_grid": (0.0, 0.95, 20), "gamma_grid": (0.0, 0.95, 20),
     "alphas": (2.5, 3.0, 5.0),
-    "seeds": None, "num_seeds": None, "seed_base": 0, "power": 100.0,
+    "seeds": None, "num_seeds": None, "seed_base": 0, "power": 100.0, "jobs": None,
     "schemes": tuple(_RUNNERS), **{k: getattr(SimConfig, k) for k in _SIM_KNOBS},
 }
 
 
 class ConfigError(Exception):
     """Bad config file, bad flag combination, or bad parameter value."""
+
+
+class WorkerDiedError(Exception):
+    """A pool worker ended before it returned the result of its unit."""
 
 
 # ---------------------------------------------------------------------------
@@ -329,24 +351,136 @@ def _cmd_min_backhaul(opts: dict) -> int:
     return 0
 
 
+def _jobs(opts: dict) -> int:
+    jobs = opts["jobs"]
+    if jobs is None:
+        blas = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
+        return _usable_cores() if blas == "1" else 1
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be a positive integer, got {jobs}")
+    return jobs
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_count(jobs: int, cores: int, units: int) -> int:
+    return max(1, min(jobs, cores, units))
+
+
 def _instances(opts: dict, p: ScalingPoint, seeds: list[int]):
-    """(n, seed, fm, topo, ch, cfg, L1 bound, L2 bound, min cut) of each instance."""
+    """The (n, seed, fm, topo, ch, cfg) of each instance in serial order, up
+    to the first one that cannot be built, and the error that stopped the
+    build (None when all were built)."""
     if opts["output"]:  # an unwritable -o fails before any Monte Carlo
         _open_output(opts["output"], "a").close()
+    built = []
     for n in opts["sizes"]:
         for seed in seeds:
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    fm = map_finite_n(n, p)
-                cfg = SimConfig(p=opts["power"], r_bs=fm.r_bs,
-                                **{k: opts[k] for k in _SIM_KNOBS if k in opts})
-            except ValueError as exc:  # n < 4, tdma_k not a perfect square, bad power
-                raise ConfigError(str(exc)) from exc
-            topo = generate_topology(TopologyConfig(n=n, m=fm.m, l=fm.l, seed=seed))
-            ch = ChannelRealization(topo, alpha=p.alpha, phase_seed=seed)
+                built.append(_instance(opts, p, n, seed))
+            except Exception as exc:  # raised once the units built before it have run
+                return built, exc
+    return built, None
+
+
+def _instance(opts: dict, p: ScalingPoint, n: int, seed: int) -> tuple:
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fm = map_finite_n(n, p)
+        cfg = SimConfig(p=opts["power"], r_bs=fm.r_bs,
+                        **{k: opts[k] for k in _SIM_KNOBS if k in opts})
+    except ValueError as exc:  # n < 4, tdma_k not a perfect square, bad power
+        raise ConfigError(str(exc)) from exc
+    topo = generate_topology(TopologyConfig(n=n, m=fm.m, l=fm.l, seed=seed))
+    ch = ChannelRealization(topo, alpha=p.alpha, phase_seed=seed)
+    return n, seed, fm, topo, ch, cfg
+
+
+def _unit(instance: tuple, name: str):
+    """One unit of an instance: its (L1, L2, min cut) for ``name`` "cut", else
+    the SimResult of scheme ``name``.  A min cut or aggregate that is not
+    finite is an error; an overflow on the way warns nothing, because it
+    either ends in that error or does not reach the result."""
+    n, seed, _, topo, ch, cfg = instance
+    with np.errstate(over="ignore"):
+        if name == "cut":
             b1, b2 = cut_bounds(topo, ch, cfg)
-            yield n, seed, fm, topo, ch, cfg, b1, b2, min(b1.total, b2.total)
+            result = b1, b2, min(b1.total, b2.total)
+            value, name = result[2], "MIN_CUT"
+        else:
+            result = _RUNNERS[name](topo, ch, cfg)
+            value = result.aggregate_throughput
+    if not math.isfinite(value):
+        raise NonFiniteRateError(f"{name} is {_fmt(value)} at n={n} seed={seed}, "
+                                 f"power {_fmt(cfg.p)}; a rate must be finite")
+    return result
+
+
+#: in a pool worker, the (n, unit) list of the call that forked it
+_WORKER_UNITS: list = []
+
+
+def _adopt_units(units: list) -> None:
+    global _WORKER_UNITS
+    _WORKER_UNITS = units
+
+
+def _run_unit(index: int):
+    return _WORKER_UNITS[index][1]()
+
+
+def _run_units(units: list, jobs: int) -> list:
+    """The result of each (n, unit) in ``units``, in their order; the error
+    raised is the first one in that order.
+
+    With one worker, or without ``fork``, the units run here one by one.
+    Otherwise they run on a pool of forked workers, which inherit ``units``
+    and receive only indices into it, so nothing that cannot be pickled
+    (a closure, a class defined in a function) ever has to be."""
+    workers = _worker_count(jobs, _usable_cores(), len(units))
+    if workers > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            return _pool_run(units, workers, multiprocessing.get_context("fork"))
+    return [unit() for _, unit in units]
+
+
+def _pool_run(units: list, workers: int, context) -> list:
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(workers, mp_context=context,
+                               initializer=_adopt_units, initargs=(units,))
+    try:
+        # largest n first, in serial order within each n (sorted is stable)
+        order = sorted(range(len(units)), key=lambda i: -units[i][0])
+        futures = {i: pool.submit(_run_unit, i) for i in order}
+        return [futures[i].result() for i in range(len(units))]
+    except BrokenProcessPool as exc:
+        raise WorkerDiedError(f"a worker process died ({exc}); "
+                              "rerun with --jobs 1 to run in one process") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _evaluate(opts: dict, p: ScalingPoint, seeds: list[int], schemes, jobs: int):
+    """Each built instance with the results of its units, in serial order:
+    (L1, L2, min cut), then one SimResult per scheme.  The error raised is
+    the first in serial order: a unit's, or else the one that stopped the
+    build."""
+    built, failure = _instances(opts, p, seeds)
+    names = ("cut", *schemes)
+    results = iter(_run_units([(inst[0], functools.partial(_unit, inst, name))
+                               for inst in built for name in names], jobs))
+    if failure is not None:
+        raise failure
+    return [(inst, [next(results) for _ in names]) for inst in built]
 
 
 def _run_header(command: str, p: ScalingPoint, opts: dict, seeds: list[int]) -> dict:
@@ -363,13 +497,14 @@ def _cmd_simulate(opts: dict) -> int:
         raise ConfigError(f"unknown schemes {bad}; choose from {list(_RUNNERS)}")
     schemes = [s for s in _RUNNERS if s in schemes]
     p = _point(opts)
+    jobs = _jobs(opts)
 
     rows = []
     agg: dict[str, dict[int, list[float]]] = {s: {} for s in schemes}
     violations = []
-    for n, seed, fm, topo, ch, cfg, _, _, cut in _instances(opts, p, seeds):
-        for scheme in schemes:
-            res = _RUNNERS[scheme](topo, ch, cfg)
+    for (n, seed, fm, *_), ((_, _, cut), *runs) in _evaluate(opts, p, seeds,
+                                                             schemes, jobs):
+        for scheme, res in zip(schemes, runs):
             stages = res.stage_rates
             rows.append([
                 scheme, n, fm.m, fm.l, fm.r_bs, p.alpha, seed,
@@ -411,8 +546,9 @@ def _cmd_simulate(opts: dict) -> int:
 def _cmd_bound(opts: dict) -> int:
     seeds = _resolve_seeds(opts)
     p = _point(opts)
+    jobs = _jobs(opts)
     rows = []
-    for n, seed, fm, _, _, _, b1, b2, cut in _instances(opts, p, seeds):
+    for (n, seed, fm, *_), [(b1, b2, cut)] in _evaluate(opts, p, seeds, (), jobs):
         base = [n, fm.m, fm.l, fm.r_bs, p.alpha, seed]
         for b in (b1, b2):
             rows.append(base + [b.cut, b.wireless_terms["D1"],
@@ -446,6 +582,12 @@ def _add_seed_flags(sp: argparse.ArgumentParser) -> None:
                     help="explicit seed list (exclusive with --num-seeds)")
     sp.add_argument("--num-seeds", type=int, help="run seeds base..base+count-1")
     sp.add_argument("--seed-base", type=int, help="first seed for --num-seeds")
+
+
+def _add_jobs_flag(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--jobs", type=int,
+                    help="worker processes for the instances' units (default: "
+                         "the usable cores if BLAS is on one thread, else 1)")
 
 
 def _add_grid_flags(sp: argparse.ArgumentParser) -> None:
@@ -499,6 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tdma-k", type=int, help="spatial reuse factor")
     sp.add_argument("--hc-cluster-exponent", type=float)
     sp.add_argument("--hc-quant-bits", type=int)
+    _add_jobs_flag(sp)
     _add_io_flags(sp)
     sp.set_defaults(func=_cmd_simulate)
 
@@ -507,6 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_point_flags(sp)
     _add_seed_flags(sp)
     sp.add_argument("--power", type=float, help="per-node transmit power P")
+    _add_jobs_flag(sp)
     _add_io_flags(sp)
     sp.set_defaults(func=_cmd_bound)
     for sp in sub.choices.values():  # config values are typed by these flags
@@ -523,9 +667,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(_effective(args))
     except (ConfigError, InvalidPointError, InfeasibleGeometryError,
-            EmptyRoutingCellError, ZeroDistanceError) as exc:
+            EmptyRoutingCellError, ZeroDistanceError, NonFiniteRateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except WorkerDiedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

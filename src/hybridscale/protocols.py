@@ -48,6 +48,10 @@ class EmptyRoutingCellError(RuntimeError):
     """A routing cell on some route contains no relay candidate."""
 
 
+class NonFiniteRateError(ArithmeticError):
+    """A rate that should be a finite number of bits overflowed (or is nan)."""
+
+
 # ---------------------------------------------------------------------------
 # Configuration and results
 # ---------------------------------------------------------------------------
@@ -478,7 +482,12 @@ def _cluster_nn_rate(pos: np.ndarray, members: np.ndarray, p: float, alpha: floa
     d = _distances(pos[members], pos[members])
     np.fill_diagonal(d, math.inf)
     dnn = d.min(axis=1)
-    return float(np.min(np.log2(1.0 + p * dnn ** (-alpha))))
+    rate = float(np.min(np.log2(1.0 + p * dnn ** (-alpha))))
+    if not math.isfinite(rate):
+        raise NonFiniteRateError(
+            f"HC nearest-neighbor rate is {rate!r} in a cluster of {members.size} "
+            f"nodes at power {p!r}")
+    return rate
 
 
 def estimate_hc_single_level(

@@ -3,6 +3,9 @@
 import importlib.util
 import json
 import math
+import multiprocessing
+import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -472,10 +475,10 @@ _OPTIONS = {
     "simulate": {"sizes": [64], "alpha": 3.0, "beta": 0.0, "gamma": 0.0, "eta": 0.0,
                  "seeds": [0], "num_seeds": 1, "seed_base": 1, "schemes": ["MH"],
                  "power": 10.0, "tdma_k": 4, "hc_cluster_exponent": 0.5,
-                 "hc_quant_bits": 4, "output": None, "format": "json"},
+                 "hc_quant_bits": 4, "jobs": 2, "output": None, "format": "json"},
     "bound": {"sizes": [64], "alpha": 3.0, "beta": 0.0, "gamma": 0.0, "eta": 0.0,
               "seeds": [0], "num_seeds": 1, "seed_base": 1, "power": 10.0,
-              "output": None, "format": "json"},
+              "jobs": 2, "output": None, "format": "json"},
 }
 _REQUIRED = {
     "exponent": ["alpha", "beta", "gamma", "eta"],
@@ -604,3 +607,159 @@ def test_traced_call_runs_and_puts_every_patched_name_back(capsys):
     assert capsys.readouterr().err == ""
     assert all(getattr(cli, name) is fn for name, fn in before.items())
     assert cli._RUNNERS == runners
+
+
+# ---------------------------------------------------------------------------
+# Units on a process pool: the bytes, the errors and the workers' lifetime
+# ---------------------------------------------------------------------------
+
+_POOL_POINT = ["--sizes", "128", "256", "--seeds", "1", "0", "--alpha", "3",
+               "--beta", "0", "--gamma", "0", "--eta=inf"]
+_POOL_RUN = ["simulate", *_POOL_POINT, "--schemes", "MH", "HC"]
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Two usable cores whatever the host has, so --jobs 2 forks two workers."""
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+
+
+def _run(capsys, argv):
+    rc = cli.main(argv)
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def test_pool_inherits_what_cannot_be_pickled(two_cores, capsys, monkeypatch):
+    """The tracer's shape: a channel class defined in a function and a
+    closure runner.  The workers run the closure; only results come back."""
+    class LocalChannel(ChannelRealization):
+        pass
+
+    real, here = cli._RUNNERS["MH"], []
+
+    def mh(topo, ch, cfg):
+        assert type(ch) is LocalChannel
+        here.append(os.getpid())
+        return real(topo, ch, cfg)
+
+    monkeypatch.setattr(cli, "ChannelRealization", LocalChannel)
+    monkeypatch.setitem(cli._RUNNERS, "MH", mh)
+    pooled = _run(capsys, [*_POOL_RUN, "--jobs", "2"])
+    assert here == []
+    serial = _run(capsys, [*_POOL_RUN, "--jobs", "1"])
+    assert here == [os.getpid()] * 4
+    assert pooled == serial and pooled[0] == 0
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("hc_fails, sizes, err", [
+    (True, "256", "n=128 seed=1"),   # the pool runs n=256 first
+    (True, "3", "n=128 seed=1"),     # a failing unit before an unbuildable instance
+    (False, "3", "n must be at least 4, got 3"),
+])
+def test_first_error_in_serial_order_is_reported(two_cores, capsys, monkeypatch,
+                                                 jobs, hc_fails, sizes, err):
+    def fail(topo, ch, cfg):
+        raise ZeroDistanceError(f"n={topo.n} seed={topo.config.seed}")
+
+    if hc_fails:
+        monkeypatch.setitem(cli._RUNNERS, "HC", fail)
+    argv = [*_POOL_RUN, "--jobs", jobs]
+    argv[3] = sizes
+    assert _run(capsys, argv) == (2, "", f"error: {err}\n")
+
+
+def _killed(topo, ch, cfg):
+    if os.getpid() == _TEST_PID:  # never kill the test process itself
+        raise AssertionError("a unit ran in the test process")
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+_TEST_PID = os.getpid()
+
+
+def _too_fast(topo, ch, cfg):
+    return SimResult("MH", 1e9, np.full(topo.n, 1e9 / topo.n))
+
+
+def _bad_geometry(topo, ch, cfg):
+    raise ZeroDistanceError("bad geometry")
+
+
+@pytest.mark.parametrize("runner, rc", [(None, 0), (_killed, 1), (_bad_geometry, 2),
+                                        (_too_fast, 3)])
+def test_no_worker_outlives_main(two_cores, capsys, monkeypatch, runner, rc):
+    if runner is not None:
+        monkeypatch.setitem(cli._RUNNERS, "MH", runner)
+    got, out, err = _run(capsys, [*_POOL_RUN, "--jobs", "2"])
+    assert got == rc
+    assert multiprocessing.active_children() == []
+    assert err.count("\n") == (rc != 0)
+    if rc == 1:
+        assert err.startswith("error: a worker process died") and "--jobs 1" in err
+        assert out == ""
+
+
+@pytest.mark.parametrize("command", ["simulate", "bound"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_one_line_error(capsys, command, jobs):
+    argv = [command, *_POOL_POINT, "--jobs", jobs]
+    assert _run(capsys, argv) == (2, "", f"error: --jobs must be a positive integer, "
+                                         f"got {jobs}\n")
+
+
+@pytest.mark.parametrize("jobs, cores, units, workers", [
+    (2, 2, 12, 2), (1, 2, 12, 1), (8, 2, 12, 2), (10**9, 4, 3, 3), (4, 1, 12, 1),
+    (4, 4, 0, 1),
+])
+def test_worker_count_is_capped_by_cores_and_units(jobs, cores, units, workers):
+    assert cli._worker_count(jobs, cores, units) == workers
+
+
+@pytest.mark.parametrize("openblas, omp, pool", [
+    ("1", None, True), (None, "1", True), ("1", "4", True), ("2", "1", False),
+    (None, None, False), ("4", None, False),
+])
+def test_default_jobs_pools_only_with_one_blas_thread(monkeypatch, openblas, omp,
+                                                      pool):
+    for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+        if value is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, value)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 6)
+    assert cli._jobs({"jobs": None}) == (6 if pool else 1)
+    assert cli._jobs({"jobs": 3}) == 3
+
+
+def test_serial_run_loads_no_pool_modules():
+    code = ("import sys; from hybridscale import cli; rc = cli.main(sys.argv[1:]); "
+            "print(rc, sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code, *_POOL_RUN, "--jobs", "1",
+                          "-o", os.devnull],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "0 []"
+
+
+_OVERFLOW = ["simulate", "--sizes", "64", "--seeds", "0", "--alpha", "3", "--beta", "0",
+             "--gamma", "0", "--eta", "inf", "--power", "1e308", "--schemes", "MH", "HC"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_overflowing_cut_is_one_line_error(two_cores, capsys, jobs):
+    assert _run(capsys, [*_OVERFLOW, "--jobs", jobs]) == (
+        2, "", "error: MIN_CUT is inf at n=64 seed=0, power 1e+308; "
+               "a rate must be finite\n")
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_non_finite_scheme_rate_is_one_line_error(capsys, monkeypatch, value):
+    def broken(topo, ch, cfg):
+        return SimResult("MH", value, np.full(topo.n, value))
+
+    monkeypatch.setitem(cli._RUNNERS, "MH", broken)
+    assert _run(capsys, [*_SIM_POINT, "--jobs", "1"]) == (
+        2, "", f"error: MH is {value!r} at n=256 seed=0, power 100.0; "
+               "a rate must be finite\n")

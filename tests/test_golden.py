@@ -130,6 +130,18 @@ def test_cli_output_matches_golden(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(k for k, v in CASES.items()
+                                        if v[0] in ("simulate", "bound")))
+def test_monte_carlo_output_matches_golden_at_any_jobs(name, jobs, tmp_path,
+                                                       monkeypatch):
+    """The same bytes in one process and from a pool of two forked workers."""
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    out = tmp_path / name
+    assert cli.main([*CASES[name], "--jobs", jobs, "-o", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
 @pytest.mark.parametrize("name", sorted(STDOUT_CASES))
 def test_cli_stdout_matches_golden(name, capsys):
     assert cli.main(STDOUT_CASES[name]) == 0

@@ -13,6 +13,7 @@ from hybridscale.channel import ChannelRealization
 from hybridscale.protocols import (
     RUNNERS,
     EmptyRoutingCellError,
+    NonFiniteRateError,
     SimConfig,
     best_of_schemes,
     estimate_hc_single_level,
@@ -459,6 +460,16 @@ def test_hc_estimate_memory_does_not_grow_with_the_pair_count():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_hc_nearest_neighbor_overflow_is_an_error():
+    """At P = 1e308, P r^-alpha overflows in every cluster; the estimate used
+    to charge those hops no time and report a finite rate."""
+    topo = generate_topology(TopologyConfig(n=64, seed=0))
+    ch = ChannelRealization(topo, alpha=3.0, phase_seed=0)
+    with np.errstate(over="ignore"), pytest.raises(
+            NonFiniteRateError, match="HC nearest-neighbor rate is inf"):
+        estimate_hc_single_level(topo, ch, SimConfig(p=1e308))
 
 
 def test_hc_beats_mh_near_alpha_two():
