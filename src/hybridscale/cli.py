@@ -9,15 +9,15 @@ supply any option; explicit flags win.  All randomness flows from the
 seeds given on the command line or in the config — there is no
 wall-clock seeding anywhere.
 
-``simulate`` and ``bound`` build each (n, seed) instance in this process,
-in order, then evaluate its units (its cut bound, and each requested
-scheme) on ``--jobs`` forked worker processes, largest n first.  The units
-reach the workers as indices into state they inherit, and only their
-results come back; rows, checks and slopes are put together in serial
-order, so the output bytes do not depend on ``--jobs``.  The default is
-every usable core when BLAS runs on one thread (``OPENBLAS_NUM_THREADS``,
-else ``OMP_NUM_THREADS``, is 1), and 1 otherwise, where BLAS threads
-would oversubscribe the cores.
+``simulate`` and ``bound`` split each (n, seed) instance into units (its
+cut bound, and each requested scheme) and run them on forked worker
+processes, largest n first: every usable core when BLAS runs on one
+thread (``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, is 1), and
+one process otherwise, where BLAS threads would oversubscribe the cores.
+The units reach the workers as indices into state they inherit; a worker
+builds the instance of its unit, keeps only the last one, and sends back
+only the scalars the rows need.  Rows, checks and slopes are put together
+in serial order, so the output bytes do not depend on the worker count.
 
 CSV files start with ``# key=value`` comment lines carrying the full
 effective configuration (sorted by key), so re-running the embedded
@@ -87,13 +87,12 @@ BOUND_COLUMNS = (
 _SIM_KNOBS = ("tdma_k", "hc_cluster_exponent", "hc_quant_bits")
 
 #: the default of each optional flag by destination, the same in every
-#: subcommand that has the flag; a flag not listed here is required.  A
-#: ``jobs`` of None is the rule in ``_jobs``.
+#: subcommand that has the flag; a flag not listed here is required
 _DEFAULTS = {
     "json": False, "output": None, "format": "csv",
     "beta_grid": (0.0, 0.95, 20), "gamma_grid": (0.0, 0.95, 20),
     "alphas": (2.5, 3.0, 5.0),
-    "seeds": None, "num_seeds": None, "seed_base": 0, "power": 100.0, "jobs": None,
+    "seeds": None, "num_seeds": None, "seed_base": 0, "power": 100.0,
     "schemes": tuple(_RUNNERS), **{k: getattr(SimConfig, k) for k in _SIM_KNOBS},
 }
 
@@ -351,16 +350,6 @@ def _cmd_min_backhaul(opts: dict) -> int:
     return 0
 
 
-def _jobs(opts: dict) -> int:
-    jobs = opts["jobs"]
-    if jobs is None:
-        blas = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
-        return _usable_cores() if blas == "1" else 1
-    if jobs < 1:
-        raise ConfigError(f"--jobs must be a positive integer, got {jobs}")
-    return jobs
-
-
 def _usable_cores() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -368,54 +357,73 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _worker_count(jobs: int, cores: int, units: int) -> int:
-    return max(1, min(jobs, cores, units))
+def _worker_count(units: int) -> int:
+    """Worker processes for ``units`` units: every usable core when BLAS runs
+    on one thread (``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, is 1),
+    else 1, where BLAS's own threads would oversubscribe the cores; never
+    more than the units."""
+    blas = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
+    cores = _usable_cores() if blas == "1" else 1
+    return max(1, min(cores, units))
 
 
-def _instances(opts: dict, p: ScalingPoint, seeds: list[int]):
-    """The (n, seed, fm, topo, ch, cfg) of each instance in serial order, up
-    to the first one that cannot be built, and the error that stopped the
-    build (None when all were built)."""
+def _plans(opts: dict, p: ScalingPoint, seeds: list[int]):
+    """The (n, seed, fm, cfg) of each instance in serial order, up to the
+    first one whose size or configuration is invalid, and that error (None
+    when every instance was planned)."""
     if opts["output"]:  # an unwritable -o fails before any Monte Carlo
         _open_output(opts["output"], "a").close()
-    built = []
+    plans = []
     for n in opts["sizes"]:
         for seed in seeds:
             try:
-                built.append(_instance(opts, p, n, seed))
-            except Exception as exc:  # raised once the units built before it have run
-                return built, exc
-    return built, None
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    fm = map_finite_n(n, p)
+                cfg = SimConfig(p=opts["power"], r_bs=fm.r_bs,
+                                **{k: opts[k] for k in _SIM_KNOBS if k in opts})
+            except ValueError as exc:  # n < 4, tdma_k not a perfect square, bad power
+                return plans, ConfigError(str(exc))
+            plans.append((n, seed, fm, cfg))
+    return plans, None
 
 
-def _instance(opts: dict, p: ScalingPoint, n: int, seed: int) -> tuple:
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            fm = map_finite_n(n, p)
-        cfg = SimConfig(p=opts["power"], r_bs=fm.r_bs,
-                        **{k: opts[k] for k in _SIM_KNOBS if k in opts})
-    except ValueError as exc:  # n < 4, tdma_k not a perfect square, bad power
-        raise ConfigError(str(exc)) from exc
-    topo = generate_topology(TopologyConfig(n=n, m=fm.m, l=fm.l, seed=seed))
-    ch = ChannelRealization(topo, alpha=p.alpha, phase_seed=seed)
-    return n, seed, fm, topo, ch, cfg
+class _LastInstance:
+    """The topology and channel of the (n, seed) last asked for, built on the
+    first request, so a process holds one instance at a time.  A forked
+    worker builds in its own copy."""
+
+    def __init__(self, alpha: float):
+        self.alpha = alpha
+        self.key = self.value = None
+
+    def get(self, n: int, seed: int, fm) -> tuple:
+        if self.key != (n, seed):
+            self.key = self.value = None  # free the last one before building
+            topo = generate_topology(TopologyConfig(n=n, m=fm.m, l=fm.l, seed=seed))
+            self.value = topo, ChannelRealization(topo, alpha=self.alpha,
+                                                  phase_seed=seed)
+            self.key = (n, seed)
+        return self.value
 
 
-def _unit(instance: tuple, name: str):
-    """One unit of an instance: its (L1, L2, min cut) for ``name`` "cut", else
-    the SimResult of scheme ``name``.  A min cut or aggregate that is not
-    finite is an error; an overflow on the way warns nothing, because it
-    either ends in that error or does not reach the result."""
-    n, seed, _, topo, ch, cfg = instance
+def _unit(last: _LastInstance, plan: tuple, name: str):
+    """One unit of an instance: its (L1, L2, min cut) for ``name`` "cut",
+    else scheme ``name``'s (aggregate, stage rates).  Building the instance
+    is part of the unit, so its errors come first.  A min cut or aggregate
+    that is not finite is an error; an overflow on the way warns nothing,
+    because it either ends in that error or does not reach the result."""
+    n, seed, fm, cfg = plan
+    topo, ch = last.get(n, seed, fm)
     with np.errstate(over="ignore"):
         if name == "cut":
             b1, b2 = cut_bounds(topo, ch, cfg)
             result = b1, b2, min(b1.total, b2.total)
             value, name = result[2], "MIN_CUT"
         else:
-            result = _RUNNERS[name](topo, ch, cfg)
-            value = result.aggregate_throughput
+            res = _RUNNERS[name](topo, ch, cfg)
+            value = res.aggregate_throughput
+            result = value, res.stage_rates
     if not math.isfinite(value):
         raise NonFiniteRateError(f"{name} is {_fmt(value)} at n={n} seed={seed}, "
                                  f"power {_fmt(cfg.p)}; a rate must be finite")
@@ -435,7 +443,7 @@ def _run_unit(index: int):
     return _WORKER_UNITS[index][1]()
 
 
-def _run_units(units: list, jobs: int) -> list:
+def _run_units(units: list) -> list:
     """The result of each (n, unit) in ``units``, in their order; the error
     raised is the first one in that order.
 
@@ -443,7 +451,7 @@ def _run_units(units: list, jobs: int) -> list:
     Otherwise they run on a pool of forked workers, which inherit ``units``
     and receive only indices into it, so nothing that cannot be pickled
     (a closure, a class defined in a function) ever has to be."""
-    workers = _worker_count(jobs, _usable_cores(), len(units))
+    workers = _worker_count(len(units))
     if workers > 1:
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
@@ -463,24 +471,25 @@ def _pool_run(units: list, workers: int, context) -> list:
         futures = {i: pool.submit(_run_unit, i) for i in order}
         return [futures[i].result() for i in range(len(units))]
     except BrokenProcessPool as exc:
-        raise WorkerDiedError(f"a worker process died ({exc}); "
-                              "rerun with --jobs 1 to run in one process") from None
+        raise WorkerDiedError(f"a worker process died ({exc}); rerun on one core "
+                              "(e.g. under taskset -c 0) to run in one process") from None
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def _evaluate(opts: dict, p: ScalingPoint, seeds: list[int], schemes, jobs: int):
-    """Each built instance with the results of its units, in serial order:
-    (L1, L2, min cut), then one SimResult per scheme.  The error raised is
-    the first in serial order: a unit's, or else the one that stopped the
-    build."""
-    built, failure = _instances(opts, p, seeds)
+def _evaluate(opts: dict, p: ScalingPoint, seeds: list[int], schemes) -> list:
+    """Each planned (n, seed, fm, cfg) with the results of its units, in
+    serial order: (L1, L2, min cut), then one (aggregate, stage rates) per
+    scheme.  The error raised is the first in serial order: a unit's, or
+    else the one that stopped the planning."""
+    plans, failure = _plans(opts, p, seeds)
     names = ("cut", *schemes)
-    results = iter(_run_units([(inst[0], functools.partial(_unit, inst, name))
-                               for inst in built for name in names], jobs))
+    last = _LastInstance(p.alpha)
+    results = iter(_run_units([(plan[0], functools.partial(_unit, last, plan, name))
+                               for plan in plans for name in names]))
     if failure is not None:
         raise failure
-    return [(inst, [next(results) for _ in names]) for inst in built]
+    return [(plan, [next(results) for _ in names]) for plan in plans]
 
 
 def _run_header(command: str, p: ScalingPoint, opts: dict, seeds: list[int]) -> dict:
@@ -497,27 +506,22 @@ def _cmd_simulate(opts: dict) -> int:
         raise ConfigError(f"unknown schemes {bad}; choose from {list(_RUNNERS)}")
     schemes = [s for s in _RUNNERS if s in schemes]
     p = _point(opts)
-    jobs = _jobs(opts)
 
     rows = []
     agg: dict[str, dict[int, list[float]]] = {s: {} for s in schemes}
     violations = []
-    for (n, seed, fm, *_), ((_, _, cut), *runs) in _evaluate(opts, p, seeds,
-                                                             schemes, jobs):
-        for scheme, res in zip(schemes, runs):
-            stages = res.stage_rates
+    for (n, seed, fm, _), ((_, _, cut), *runs) in _evaluate(opts, p, seeds, schemes):
+        for scheme, (aggregate, stages) in zip(schemes, runs):
             rows.append([
-                scheme, n, fm.m, fm.l, fm.r_bs, p.alpha, seed,
-                res.aggregate_throughput,
+                scheme, n, fm.m, fm.l, fm.r_bs, p.alpha, seed, aggregate,
                 stages.access if stages else None,
                 stages.backhaul if stages else None,
                 stages.exit if stages else None,
             ])
-            agg[scheme].setdefault(n, []).append(res.aggregate_throughput)
-            if res.aggregate_throughput > cut + 1e-9:
-                violations.append(
-                    f"{scheme} n={n} seed={seed} "
-                    f"aggregate={_fmt(res.aggregate_throughput)} cut={_fmt(cut)}")
+            agg[scheme].setdefault(n, []).append(aggregate)
+            if aggregate > cut + 1e-9:
+                violations.append(f"{scheme} n={n} seed={seed} "
+                                  f"aggregate={_fmt(aggregate)} cut={_fmt(cut)}")
         rows.append(["MIN_CUT", n, fm.m, fm.l, fm.r_bs, p.alpha, seed,
                      cut, None, None, None])
 
@@ -546,9 +550,8 @@ def _cmd_simulate(opts: dict) -> int:
 def _cmd_bound(opts: dict) -> int:
     seeds = _resolve_seeds(opts)
     p = _point(opts)
-    jobs = _jobs(opts)
     rows = []
-    for (n, seed, fm, *_), [(b1, b2, cut)] in _evaluate(opts, p, seeds, (), jobs):
+    for (n, seed, fm, _), [(b1, b2, cut)] in _evaluate(opts, p, seeds, ()):
         base = [n, fm.m, fm.l, fm.r_bs, p.alpha, seed]
         for b in (b1, b2):
             rows.append(base + [b.cut, b.wireless_terms["D1"],
@@ -582,12 +585,6 @@ def _add_seed_flags(sp: argparse.ArgumentParser) -> None:
                     help="explicit seed list (exclusive with --num-seeds)")
     sp.add_argument("--num-seeds", type=int, help="run seeds base..base+count-1")
     sp.add_argument("--seed-base", type=int, help="first seed for --num-seeds")
-
-
-def _add_jobs_flag(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--jobs", type=int,
-                    help="worker processes for the instances' units (default: "
-                         "the usable cores if BLAS is on one thread, else 1)")
 
 
 def _add_grid_flags(sp: argparse.ArgumentParser) -> None:
@@ -641,7 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tdma-k", type=int, help="spatial reuse factor")
     sp.add_argument("--hc-cluster-exponent", type=float)
     sp.add_argument("--hc-quant-bits", type=int)
-    _add_jobs_flag(sp)
     _add_io_flags(sp)
     sp.set_defaults(func=_cmd_simulate)
 
@@ -650,7 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_point_flags(sp)
     _add_seed_flags(sp)
     sp.add_argument("--power", type=float, help="per-node transmit power P")
-    _add_jobs_flag(sp)
     _add_io_flags(sp)
     sp.set_defaults(func=_cmd_bound)
     for sp in sub.choices.values():  # config values are typed by these flags

@@ -8,6 +8,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -475,10 +476,10 @@ _OPTIONS = {
     "simulate": {"sizes": [64], "alpha": 3.0, "beta": 0.0, "gamma": 0.0, "eta": 0.0,
                  "seeds": [0], "num_seeds": 1, "seed_base": 1, "schemes": ["MH"],
                  "power": 10.0, "tdma_k": 4, "hc_cluster_exponent": 0.5,
-                 "hc_quant_bits": 4, "jobs": 2, "output": None, "format": "json"},
+                 "hc_quant_bits": 4, "output": None, "format": "json"},
     "bound": {"sizes": [64], "alpha": 3.0, "beta": 0.0, "gamma": 0.0, "eta": 0.0,
               "seeds": [0], "num_seeds": 1, "seed_base": 1, "power": 10.0,
-              "jobs": 2, "output": None, "format": "json"},
+              "output": None, "format": "json"},
 }
 _REQUIRED = {
     "exponent": ["alpha", "beta", "gamma", "eta"],
@@ -618,10 +619,16 @@ _POOL_POINT = ["--sizes", "128", "256", "--seeds", "1", "0", "--alpha", "3",
 _POOL_RUN = ["simulate", *_POOL_POINT, "--schemes", "MH", "HC"]
 
 
+def _cores(monkeypatch, cores):
+    """``cores`` usable cores with BLAS on one thread, whatever the host has,
+    so the run forks that many workers (one runs in this process)."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+
+
 @pytest.fixture
 def two_cores(monkeypatch):
-    """Two usable cores whatever the host has, so --jobs 2 forks two workers."""
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    _cores(monkeypatch, 2)
 
 
 def _run(capsys, argv):
@@ -630,7 +637,7 @@ def _run(capsys, argv):
     return rc, out, err
 
 
-def test_pool_inherits_what_cannot_be_pickled(two_cores, capsys, monkeypatch):
+def test_pool_inherits_what_cannot_be_pickled(capsys, monkeypatch):
     """The tracer's shape: a channel class defined in a function and a
     closure runner.  The workers run the closure; only results come back."""
     class LocalChannel(ChannelRealization):
@@ -645,29 +652,60 @@ def test_pool_inherits_what_cannot_be_pickled(two_cores, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "ChannelRealization", LocalChannel)
     monkeypatch.setitem(cli._RUNNERS, "MH", mh)
-    pooled = _run(capsys, [*_POOL_RUN, "--jobs", "2"])
+    _cores(monkeypatch, 2)
+    pooled = _run(capsys, _POOL_RUN)
     assert here == []
-    serial = _run(capsys, [*_POOL_RUN, "--jobs", "1"])
+    _cores(monkeypatch, 1)
+    serial = _run(capsys, _POOL_RUN)
     assert here == [os.getpid()] * 4
     assert pooled == serial and pooled[0] == 0
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("cores", [1, 2])
 @pytest.mark.parametrize("hc_fails, sizes, err", [
     (True, "256", "n=128 seed=1"),   # the pool runs n=256 first
-    (True, "3", "n=128 seed=1"),     # a failing unit before an unbuildable instance
+    (True, "3", "n=128 seed=1"),     # a failing unit before an unplannable instance
     (False, "3", "n must be at least 4, got 3"),
 ])
-def test_first_error_in_serial_order_is_reported(two_cores, capsys, monkeypatch,
-                                                 jobs, hc_fails, sizes, err):
+def test_first_error_in_serial_order_is_reported(capsys, monkeypatch, cores,
+                                                 hc_fails, sizes, err):
     def fail(topo, ch, cfg):
         raise ZeroDistanceError(f"n={topo.n} seed={topo.config.seed}")
 
     if hc_fails:
         monkeypatch.setitem(cli._RUNNERS, "HC", fail)
-    argv = [*_POOL_RUN, "--jobs", jobs]
+    _cores(monkeypatch, cores)
+    argv = list(_POOL_RUN)
     argv[3] = sizes
     assert _run(capsys, argv) == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("hc_fails_at, err", [
+    ((128, 1), "HC at n=128 seed=1"),   # an earlier instance's unit
+    ((256, 0), "no layout at n=256"),   # a later instance's unit
+])
+def test_unbuildable_instance_fails_in_serial_order(capsys, monkeypatch, cores,
+                                                    hc_fails_at, err):
+    """The instance (n=256, seed=1) cannot be laid out.  It is built inside
+    its first unit, so its error comes after those of the instances before
+    it and before those of the instances after it."""
+    real_topology, real_hc = cli.generate_topology, cli._RUNNERS["HC"]
+
+    def generate(config):
+        if (config.n, config.seed) == (256, 1):
+            raise InfeasibleGeometryError(f"no layout at n={config.n}")
+        return real_topology(config)
+
+    def hc(topo, ch, cfg):
+        if (topo.n, topo.config.seed) == hc_fails_at:
+            raise ZeroDistanceError(f"HC at n={topo.n} seed={topo.config.seed}")
+        return real_hc(topo, ch, cfg)
+
+    monkeypatch.setattr(cli, "generate_topology", generate)
+    monkeypatch.setitem(cli._RUNNERS, "HC", hc)
+    _cores(monkeypatch, cores)
+    assert _run(capsys, _POOL_RUN) == (2, "", f"error: {err}\n")
 
 
 def _killed(topo, ch, cfg):
@@ -692,64 +730,73 @@ def _bad_geometry(topo, ch, cfg):
 def test_no_worker_outlives_main(two_cores, capsys, monkeypatch, runner, rc):
     if runner is not None:
         monkeypatch.setitem(cli._RUNNERS, "MH", runner)
-    got, out, err = _run(capsys, [*_POOL_RUN, "--jobs", "2"])
+    got, out, err = _run(capsys, _POOL_RUN)
     assert got == rc
     assert multiprocessing.active_children() == []
     assert err.count("\n") == (rc != 0)
     if rc == 1:
-        assert err.startswith("error: a worker process died") and "--jobs 1" in err
+        assert err.startswith("error: a worker process died") and "one core" in err
         assert out == ""
 
 
-@pytest.mark.parametrize("command", ["simulate", "bound"])
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_jobs_below_one_is_one_line_error(capsys, command, jobs):
-    argv = [command, *_POOL_POINT, "--jobs", jobs]
-    assert _run(capsys, argv) == (2, "", f"error: --jobs must be a positive integer, "
-                                         f"got {jobs}\n")
-
-
-@pytest.mark.parametrize("jobs, cores, units, workers", [
-    (2, 2, 12, 2), (1, 2, 12, 1), (8, 2, 12, 2), (10**9, 4, 3, 3), (4, 1, 12, 1),
-    (4, 4, 0, 1),
+@pytest.mark.parametrize("openblas, omp, cores, units, workers", [
+    ("1", None, 2, 12, 2), ("1", None, 8, 3, 3), ("1", None, 1, 12, 1),
+    ("1", None, 4, 0, 1), (None, "1", 6, 12, 6), ("1", "4", 6, 12, 6),
+    ("2", "1", 6, 12, 1), (None, None, 6, 12, 1), ("4", None, 6, 12, 1),
 ])
-def test_worker_count_is_capped_by_cores_and_units(jobs, cores, units, workers):
-    assert cli._worker_count(jobs, cores, units) == workers
-
-
-@pytest.mark.parametrize("openblas, omp, pool", [
-    ("1", None, True), (None, "1", True), ("1", "4", True), ("2", "1", False),
-    (None, None, False), ("4", None, False),
-])
-def test_default_jobs_pools_only_with_one_blas_thread(monkeypatch, openblas, omp,
-                                                      pool):
+def test_workers_are_the_cores_only_with_one_blas_thread(monkeypatch, openblas, omp,
+                                                         cores, units, workers):
     for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
         if value is None:
             monkeypatch.delenv(var, raising=False)
         else:
             monkeypatch.setenv(var, value)
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 6)
-    assert cli._jobs({"jobs": None}) == (6 if pool else 1)
-    assert cli._jobs({"jobs": 3}) == 3
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    assert cli._worker_count(units) == workers
 
 
 def test_serial_run_loads_no_pool_modules():
     code = ("import sys; from hybridscale import cli; rc = cli.main(sys.argv[1:]); "
             "print(rc, sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
-    out = subprocess.run([sys.executable, "-c", code, *_POOL_RUN, "--jobs", "1",
-                          "-o", os.devnull],
-                         capture_output=True, text=True, check=True).stdout
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    out = subprocess.run([sys.executable, "-c", code, *_POOL_RUN, "-o", os.devnull],
+                         capture_output=True, text=True, check=True, env=env).stdout
     assert out.strip() == "0 []"
+
+
+def _peak_bytes(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_serial_memory_does_not_grow_with_the_seeds(monkeypatch, tmp_path):
+    """One process holds one instance at a time and keeps only the scalars
+    of each unit.  Each extra seed adds its plan, units and output rows,
+    about 4 KB, where holding its n=1024 topology and per-pair rates would
+    add over 40 KB."""
+    _cores(monkeypatch, 1)
+    argv = ["simulate", "--sizes", "1024", "--alpha", "3", "--beta", "0", "--gamma",
+            "0", "--eta=inf", "--schemes", "MH", "-o", str(tmp_path / "out")]
+    _peak_bytes([*argv, "--num-seeds", "2"])  # the first call's one-time costs
+    few = _peak_bytes([*argv, "--num-seeds", "2"])
+    many = _peak_bytes([*argv, "--num-seeds", "12"])
+    assert many < few + 10 * 8 * 2**10
 
 
 _OVERFLOW = ["simulate", "--sizes", "64", "--seeds", "0", "--alpha", "3", "--beta", "0",
              "--gamma", "0", "--eta", "inf", "--power", "1e308", "--schemes", "MH", "HC"]
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_overflowing_cut_is_one_line_error(two_cores, capsys, jobs):
-    assert _run(capsys, [*_OVERFLOW, "--jobs", jobs]) == (
+@pytest.mark.parametrize("cores", [1, 2])
+def test_overflowing_cut_is_one_line_error(capsys, monkeypatch, cores):
+    _cores(monkeypatch, cores)
+    assert _run(capsys, _OVERFLOW) == (
         2, "", "error: MIN_CUT is inf at n=64 seed=0, power 1e+308; "
                "a rate must be finite\n")
 
@@ -760,6 +807,7 @@ def test_non_finite_scheme_rate_is_one_line_error(capsys, monkeypatch, value):
         return SimResult("MH", value, np.full(topo.n, value))
 
     monkeypatch.setitem(cli._RUNNERS, "MH", broken)
-    assert _run(capsys, [*_SIM_POINT, "--jobs", "1"]) == (
+    _cores(monkeypatch, 1)
+    assert _run(capsys, _SIM_POINT) == (
         2, "", f"error: MH is {value!r} at n=256 seed=0, power 100.0; "
                "a rate must be finite\n")

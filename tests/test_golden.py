@@ -130,15 +130,16 @@ def test_cli_output_matches_golden(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("cores", [1, 2])
 @pytest.mark.parametrize("name", sorted(k for k, v in CASES.items()
                                         if v[0] in ("simulate", "bound")))
-def test_monte_carlo_output_matches_golden_at_any_jobs(name, jobs, tmp_path,
-                                                       monkeypatch):
+def test_monte_carlo_output_matches_golden_on_any_cores(name, cores, tmp_path,
+                                                        monkeypatch):
     """The same bytes in one process and from a pool of two forked workers."""
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
     out = tmp_path / name
-    assert cli.main([*CASES[name], "--jobs", jobs, "-o", str(out)]) == 0
+    assert cli.main([*CASES[name], "-o", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
