@@ -14,10 +14,10 @@ cut bound, and each requested scheme) and run them on forked worker
 processes, largest n first: every usable core when BLAS runs on one
 thread (``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, is 1), and
 one process otherwise, where BLAS threads would oversubscribe the cores.
-The units reach the workers as indices into state they inherit; a worker
-builds the instance of its unit, keeps only the last one, and sends back
-only the scalars the rows need.  Rows, checks and slopes are put together
-in serial order, so the output bytes do not depend on the worker count.
+A unit is plain data: it builds its instance, runs, drops the instance
+and sends back only the scalars the rows need.  Rows, checks and slopes
+are put together in serial order, so the output bytes do not depend on
+the worker count.
 
 CSV files start with ``# key=value`` comment lines carrying the full
 effective configuration (sorted by key), so re-running the embedded
@@ -371,8 +371,12 @@ def _plans(opts: dict, p: ScalingPoint, seeds: list[int]):
     """The (n, seed, fm, cfg) of each instance in serial order, up to the
     first one whose size or configuration is invalid, and that error (None
     when every instance was planned)."""
-    if opts["output"]:  # an unwritable -o fails before any Monte Carlo
-        _open_output(opts["output"], "a").close()
+    path = opts["output"]
+    if path:  # an unwritable -o fails before any Monte Carlo
+        existed = os.path.lexists(path)
+        _open_output(path, "a").close()
+        if not existed:  # so a run that fails leaves no file behind
+            os.remove(path)
     plans = []
     for n in opts["sizes"]:
         for seed in seeds:
@@ -388,33 +392,17 @@ def _plans(opts: dict, p: ScalingPoint, seeds: list[int]):
     return plans, None
 
 
-class _LastInstance:
-    """The topology and channel of the (n, seed) last asked for, built on the
-    first request, so a process holds one instance at a time.  A forked
-    worker builds in its own copy."""
-
-    def __init__(self, alpha: float):
-        self.alpha = alpha
-        self.key = self.value = None
-
-    def get(self, n: int, seed: int, fm) -> tuple:
-        if self.key != (n, seed):
-            self.key = self.value = None  # free the last one before building
-            topo = generate_topology(TopologyConfig(n=n, m=fm.m, l=fm.l, seed=seed))
-            self.value = topo, ChannelRealization(topo, alpha=self.alpha,
-                                                  phase_seed=seed)
-            self.key = (n, seed)
-        return self.value
-
-
-def _unit(last: _LastInstance, plan: tuple, name: str):
-    """One unit of an instance: its (L1, L2, min cut) for ``name`` "cut",
-    else scheme ``name``'s (aggregate, stage rates).  Building the instance
-    is part of the unit, so its errors come first.  A min cut or aggregate
-    that is not finite is an error; an overflow on the way warns nothing,
-    because it either ends in that error or does not reach the result."""
+def _unit(alpha: float, plan: tuple, name: str):
+    """One unit of the instance ``plan`` at path-loss exponent ``alpha``: its
+    (L1, L2, min cut) for ``name`` "cut", else scheme ``name``'s (aggregate,
+    stage rates).  The unit builds the instance's topology and channel
+    first, so their errors come first, and drops them when it returns, so a
+    process holds one instance at a time.  A min cut or aggregate that is
+    not finite is an error; an overflow on the way warns nothing, because
+    it either ends in that error or does not reach the result."""
     n, seed, fm, cfg = plan
-    topo, ch = last.get(n, seed, fm)
+    topo = generate_topology(TopologyConfig(n=n, m=fm.m, l=fm.l, seed=seed))
+    ch = ChannelRealization(topo, alpha=alpha, phase_seed=seed)
     with np.errstate(over="ignore"):
         if name == "cut":
             b1, b2 = cut_bounds(topo, ch, cfg)
@@ -430,45 +418,32 @@ def _unit(last: _LastInstance, plan: tuple, name: str):
     return result
 
 
-#: in a pool worker, the (n, unit) list of the call that forked it
-_WORKER_UNITS: list = []
-
-
-def _adopt_units(units: list) -> None:
-    global _WORKER_UNITS
-    _WORKER_UNITS = units
-
-
-def _run_unit(index: int):
-    return _WORKER_UNITS[index][1]()
-
-
 def _run_units(units: list) -> list:
-    """The result of each (n, unit) in ``units``, in their order; the error
-    raised is the first one in that order.
+    """``_unit(*u)`` of each u in ``units``, in their order; the error raised
+    is the first one in that order.
 
     With one worker, or without ``fork``, the units run here one by one.
-    Otherwise they run on a pool of forked workers, which inherit ``units``
-    and receive only indices into it, so nothing that cannot be pickled
-    (a closure, a class defined in a function) ever has to be."""
+    Otherwise they run on a pool of forked workers.  A unit is plain data;
+    the runners and the channel class it uses are ``cli``'s names, which a
+    worker inherits through the fork, so nothing that cannot be pickled (a
+    closure, a class defined in a function) ever has to be."""
     workers = _worker_count(len(units))
     if workers > 1:
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
             return _pool_run(units, workers, multiprocessing.get_context("fork"))
-    return [unit() for _, unit in units]
+    return [_unit(*u) for u in units]
 
 
 def _pool_run(units: list, workers: int, context) -> list:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    pool = ProcessPoolExecutor(workers, mp_context=context,
-                               initializer=_adopt_units, initargs=(units,))
+    pool = ProcessPoolExecutor(workers, mp_context=context)
     try:
         # largest n first, in serial order within each n (sorted is stable)
-        order = sorted(range(len(units)), key=lambda i: -units[i][0])
-        futures = {i: pool.submit(_run_unit, i) for i in order}
+        order = sorted(range(len(units)), key=lambda i: -units[i][1][0])
+        futures = {i: pool.submit(_unit, *units[i]) for i in order}
         return [futures[i].result() for i in range(len(units))]
     except BrokenProcessPool as exc:
         raise WorkerDiedError(f"a worker process died ({exc}); rerun on one core "
@@ -484,9 +459,7 @@ def _evaluate(opts: dict, p: ScalingPoint, seeds: list[int], schemes) -> list:
     else the one that stopped the planning."""
     plans, failure = _plans(opts, p, seeds)
     names = ("cut", *schemes)
-    last = _LastInstance(p.alpha)
-    results = iter(_run_units([(plan[0], functools.partial(_unit, last, plan, name))
-                               for plan in plans for name in names]))
+    results = iter(_run_units([(p.alpha, plan, name) for plan in plans for name in names]))
     if failure is not None:
         raise failure
     return [(plan, [next(results) for _ in names]) for plan in plans]

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -70,12 +70,7 @@ class CutBound:
             raise ValueError("total does not match the sum of its terms")
 
     def to_dict(self) -> dict:
-        return {
-            "cut": self.cut,
-            "wireless_terms": dict(self.wireless_terms),
-            "wired_term": self.wired_term,
-            "total": self.total,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -93,7 +93,7 @@ class StageRates:
     exit: float
 
     def to_dict(self) -> dict:
-        return {"access": self.access, "backhaul": self.backhaul, "exit": self.exit}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

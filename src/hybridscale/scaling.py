@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -289,12 +289,7 @@ class AlphaInterval:
     formula: str
 
     def to_dict(self) -> dict:
-        return {
-            "alpha_min": self.alpha_min,
-            "alpha_max": self.alpha_max,
-            "scheme": self.scheme,
-            "formula": self.formula,
-        }
+        return asdict(self)
 
 
 #: Floats sampled on each side of every crossing of two ``_lines``, and

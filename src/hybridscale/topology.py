@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -122,13 +122,7 @@ class Topology:
 
     def to_dict(self) -> dict:
         return {
-            "config": {
-                "n": self.config.n,
-                "m": self.config.m,
-                "l": self.config.l,
-                "seed": self.config.seed,
-                "delta0": self.config.delta0,
-            },
+            "config": asdict(self.config),
             "node_positions": self.node_positions.tolist(),
             "bs_centers": self.bs_centers.tolist(),
             "antenna_positions": self.antenna_positions.tolist(),

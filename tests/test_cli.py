@@ -316,6 +316,27 @@ def test_geometry_error_is_one_line_error(capsys, monkeypatch, error):
     assert capsys.readouterr().err == "error: bad geometry\n"
 
 
+_FAILING_RUNS = [
+    ["simulate", "--sizes", "3", "--seeds", "0", "--alpha", "3", "--beta", "0",
+     "--gamma", "0", "--eta", "inf"],
+    ["simulate", "--sizes", "1024", "--seeds", "0", "--alpha", "3", "--beta", "0",
+     "--gamma", "0.5", "--eta", "inf", "--schemes", "MH"],
+]
+
+
+@pytest.mark.parametrize("argv", _FAILING_RUNS)
+def test_failed_run_leaves_the_output_path_as_it_was(tmp_path, capsys, argv):
+    """The early probe of -o makes no file that outlives a failed run, and a
+    file that was there keeps its bytes."""
+    out = tmp_path / "new.csv"
+    assert cli.main([*argv, "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+    out.write_bytes(b"kept\n")
+    assert cli.main([*argv, "-o", str(out)]) == 2
+    assert out.read_bytes() == b"kept\n"
+
+
 @pytest.mark.parametrize("command", ["simulate", "bound"])
 def test_unwritable_output_fails_before_any_instance(command, tmp_path, capsys,
                                                      monkeypatch):
@@ -594,12 +615,18 @@ def test_non_finite_grid_spec_is_one_line_error(tmp_path, capsys, command, grid,
     assert not out.exists()
 
 
-def test_traced_call_runs_and_puts_every_patched_name_back(capsys):
-    """The benchmark's tracer swaps names of ``cli`` for timed wrappers."""
+def _tracing():
+    """The benchmark's tracer module, loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_call_runs_and_puts_every_patched_name_back(capsys):
+    """The benchmark's tracer swaps names of ``cli`` for timed wrappers."""
+    tracing = _tracing()
     before = {name: getattr(cli, name) for name in tracing._PATCHED}
     runners = dict(cli._RUNNERS)
     with tracing.Tracer().installed(cli):
@@ -687,9 +714,10 @@ def test_first_error_in_serial_order_is_reported(capsys, monkeypatch, cores,
 ])
 def test_unbuildable_instance_fails_in_serial_order(capsys, monkeypatch, cores,
                                                     hc_fails_at, err):
-    """The instance (n=256, seed=1) cannot be laid out.  It is built inside
-    its first unit, so its error comes after those of the instances before
-    it and before those of the instances after it."""
+    """The instance (n=256, seed=1) cannot be laid out.  Every unit of it
+    builds it, and its first unit fails first, so its error comes after
+    those of the instances before it and before those of the instances
+    after it."""
     real_topology, real_hc = cli.generate_topology, cli._RUNNERS["HC"]
 
     def generate(config):
@@ -755,6 +783,31 @@ def test_workers_are_the_cores_only_with_one_blas_thread(monkeypatch, openblas, 
     assert cli._worker_count(units) == workers
 
 
+_TRACED_RUN = ["simulate", "--sizes", "64", "128", "--seeds", "0", "--alpha", "3",
+               "--beta", "0.5", "--gamma", "0.25", "--eta", "0"]
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_traced_simulate_of_every_scheme_matches_the_untraced_one(capsys, monkeypatch,
+                                                                  cores):
+    """The tracer's function-local channel class and closure runners reach
+    every unit, in this process or in forked workers, at points with m > 1."""
+    tracing = _tracing()
+    _cores(monkeypatch, cores)
+    plain = _run(capsys, _TRACED_RUN)
+    before = {name: getattr(cli, name) for name in tracing._PATCHED}
+    runners = dict(cli._RUNNERS)
+    with tracing.Tracer().installed(cli) as tracer:
+        traced = _run(capsys, _TRACED_RUN)
+    assert traced == plain and plain[0] == 0 and plain[2] == ""
+    assert "\nISH,64,4,3," in plain[1] and "\nISH,128,9,3," in plain[1]
+    assert all(getattr(cli, name) is fn for name, fn in before.items())
+    assert cli._RUNNERS == runners
+    if cores == 1:  # forked workers time their units in their own copies
+        assert tracer.seconds["topology.generate"] > 0.0
+        assert tracer.seconds["protocols.ish"] > 0.0
+
+
 def test_serial_run_loads_no_pool_modules():
     code = ("import sys; from hybridscale import cli; rc = cli.main(sys.argv[1:]); "
             "print(rc, sorted(m for m in sys.modules "
@@ -776,8 +829,8 @@ def _peak_bytes(argv) -> int:
 
 
 def test_serial_memory_does_not_grow_with_the_seeds(monkeypatch, tmp_path):
-    """One process holds one instance at a time and keeps only the scalars
-    of each unit.  Each extra seed adds its plan, units and output rows,
+    """One process holds one instance at a time, built and dropped by each
+    unit, and keeps only the scalars of each unit.  Each extra seed adds its plan, units and output rows,
     about 4 KB, where holding its n=1024 topology and per-pair rates would
     add over 40 KB."""
     _cores(monkeypatch, 1)

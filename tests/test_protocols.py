@@ -7,9 +7,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridscale import protocols
-from hybridscale.channel import ChannelRealization
+from hybridscale.channel import ChannelRealization, ZeroDistanceError
 from hybridscale.protocols import (
     RUNNERS,
     EmptyRoutingCellError,
@@ -564,3 +566,38 @@ def test_best_of_schemes_breaks_exact_ties_by_priority():
     cfg = SimConfig(p=0.0)
     assert [run(topo, ch, cfg).aggregate_throughput for run in RUNNERS.values()] == [0.0] * 4
     assert best_of_schemes(topo, ch, cfg)[0] == "IMH"
+
+
+# ---------------------------------------------------------------------------
+# Every runner on random small instances
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _small_instances(draw):
+    n = draw(st.integers(4, 80))
+    m = draw(st.sampled_from([k * k for k in (1, 2, 3) if k * k < n]))
+    l = draw(st.integers(1, n // m))
+    topo = generate_topology(TopologyConfig(n=n, m=m, l=l, seed=draw(st.integers(0, 999))))
+    ch = ChannelRealization(topo, alpha=draw(st.floats(2.05, 5.0)))
+    cfg = SimConfig(p=draw(st.sampled_from([0.0, 0.5, 100.0])),
+                    r_bs=draw(st.sampled_from([0.0, 1.0, math.inf])))
+    return topo, ch, cfg
+
+
+@given(_small_instances(), st.sampled_from(list(RUNNERS)))
+@settings(max_examples=200, deadline=None)
+def test_every_runner_gives_finite_rates_that_sum_to_the_aggregate(case, scheme):
+    """Any scheme on any small instance gives finite, non-negative per-pair
+    rates whose float sum is the aggregate, or one of the two documented
+    geometry errors.  No comparison with the cut bound: it bounds only the
+    flows that cross the midline, so at the smallest n an aggregate of all
+    flows may exceed it."""
+    topo, ch, cfg = case
+    try:
+        res = RUNNERS[scheme](topo, ch, cfg)
+    except (EmptyRoutingCellError, ZeroDistanceError):
+        return
+    rates = res.per_pair_rates
+    assert rates.shape == (topo.n,)
+    assert np.all(np.isfinite(rates)) and np.all(rates >= 0.0)
+    assert res.aggregate_throughput == float(rates.sum())
