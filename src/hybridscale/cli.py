@@ -386,7 +386,7 @@ def _plans(opts: dict, p: ScalingPoint, seeds: list[int]):
                     fm = map_finite_n(n, p)
                 cfg = SimConfig(p=opts["power"], r_bs=fm.r_bs,
                                 **{k: opts[k] for k in _SIM_KNOBS if k in opts})
-            except ValueError as exc:  # n < 4, tdma_k not a perfect square, bad power
+            except ValueError as exc:  # n < 4, n^eta overflow, tdma_k, bad power
                 return plans, ConfigError(str(exc))
             plans.append((n, seed, fm, cfg))
     return plans, None

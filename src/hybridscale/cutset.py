@@ -24,7 +24,8 @@ and D3 is the remainder.
 Both cuts are built in one pass (``cut_bounds``).  The right nodes and
 right-BS antennas are destinations of both, so their rows against L2's
 sources are computed once: L2 sums each whole row and L1 its left-node
-prefix.
+prefix.  Each destination's group is decided once, where its row is laid
+out, and each cut sums its bits group by group in its destination order.
 """
 
 from __future__ import annotations
@@ -76,41 +77,29 @@ class CutBound:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _rows(n_src: int) -> int:
-    """Destination rows per block against ``n_src`` sources."""
-    return max(1, BLOCK // n_src)
-
-
-def _buffers(*sets) -> tuple[np.ndarray, np.ndarray]:
-    """Flat dx and dy buffers that hold one block of each (destination count,
-    source count) in ``sets``."""
-    size = max([min(_rows(k), d) * k for d, k in sets if k], default=0)
-    return np.empty(size), np.empty(size)
-
-
-def _amp_sums(dest_pos, src_pos, src_amp, alpha, prefix, out):
+def _amp_sums(dest_pos, src_pos, src_amp, alpha, prefix):
     """Per-destination sum_i amp_i * r_i^(-alpha/2) over all sources, and
     over the first ``prefix`` sources.
 
-    Destinations are taken in row blocks of ``_rows(len(src_pos))``; each
-    block is computed in place in the flat ``out = (dx, dy)`` buffers from
-    ``_buffers``, which hold at least one block.  Beside the results the
-    working memory is O(BLOCK + len(src_pos)) floats, however many
-    (destination, source) pairs there are.  Each row sums the same sources
-    in the same order as one dense pass would, and a prefix view of a row
-    sums like a row of its own, so the result depends neither on the block
-    size nor on ``prefix``.
+    Destinations are taken in blocks of BLOCK // len(src_pos) rows (at least
+    one, at most all), each computed in place in two flat dx and dy buffers
+    of one block.  Beside the results the working memory is O(BLOCK +
+    len(src_pos)) floats, however many (destination, source) pairs there
+    are.  Each row sums the same sources in the same order as one dense pass
+    would, and a prefix view of a row sums like a row of its own, so the
+    result depends neither on the block size nor on ``prefix``.
     """
     full, pre = np.zeros(len(dest_pos)), np.zeros(len(dest_pos))
     n_src = len(src_pos)
     if n_src == 0:
         return full, pre
-    rows = _rows(n_src)
+    rows = max(1, min(BLOCK // n_src, len(dest_pos)))
+    buffers = np.empty(rows * n_src), np.empty(rows * n_src)
     src = np.asfortranarray(src_pos)  # contiguous x and y columns
     for lo in range(0, len(dest_pos), rows):
         block = dest_pos[lo:lo + rows]
         size = len(block) * n_src
-        dx, dy = (b[:size].reshape(len(block), n_src) for b in out)
+        dx, dy = (b[:size].reshape(len(block), n_src) for b in buffers)
         r = _check_distances(_distances(block, src, out=(dx, dy)))
         r **= -alpha / 2.0
         r *= src_amp
@@ -119,41 +108,16 @@ def _amp_sums(dest_pos, src_pos, src_amp, alpha, prefix, out):
     return full, pre
 
 
-def _bits(amp: np.ndarray) -> np.ndarray:
-    return np.log2(1.0 + amp * amp)
+def _group(x, mid, ring=False):
+    """Index into ``_GROUPS`` of destinations at abscissae ``x``: D1 in the
+    slab, else D2 where ``ring``, else D3."""
+    return np.where((x >= mid) & (x < mid + 1.0), 0, np.where(ring, 1, 2))
 
 
-def _group_masks(
-    topo: Topology, dest_pos: np.ndarray, dest_owner: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Partition destinations into D1/D2/D3 (priority order, disjoint).
-
-    dest_owner holds the owning BS index for antenna entries and -1 for
-    nodes and the central processor.
-    """
-    mid = topo.config.side / 2.0
-    x = dest_pos[:, 0]
-    d1 = (x >= mid) & (x < mid + 1.0)
-
-    is_antenna = dest_owner >= 0
-    ring = np.zeros(len(dest_pos), dtype=bool)
-    if is_antenna.any():
-        owners = dest_owner[is_antenna]
-        centers = topo.bs_centers[owners]
-        left_bs = centers[:, 0] < mid
-        cheb = np.abs(dest_pos[is_antenna] - centers).max(axis=1)
-        inside = topo.footprint_side / 2.0 - cheb
-        ring[is_antenna] = left_bs & (inside <= 1.0)
-    d2 = ring & ~d1
-    d3 = ~(d1 | d2)
-    return {"D1": d1, "D2": d2, "D3": d3}
-
-
-def _evaluate(name, topo, dest_pos, dest_owner, amp, wired) -> CutBound:
-    """One cut from its destinations' amplitude sums, grouped into D1/D2/D3."""
-    bits = _bits(amp)
-    masks = _group_masks(topo, dest_pos, dest_owner)
-    terms = {g: float(bits[masks[g]].sum()) for g in _GROUPS}
+def _evaluate(name, amp, group, wired) -> CutBound:
+    """One cut from its destinations' amplitude sums and group indices."""
+    bits = np.log2(1.0 + amp * amp)
+    terms = {g: float(bits[group == i].sum()) for i, g in enumerate(_GROUPS)}
     return CutBound(name, terms, wired, sum(terms.values()) + wired)
 
 
@@ -165,10 +129,12 @@ def cut_bounds(
     The shared rows, the right nodes and then the right-BS antennas, face
     L2's sources, the left nodes and then the left-BS antennas; L2 sums each
     whole row and L1 its left-node prefix.  L1's own rows, the left-BS
-    antennas and the RCP, face the left nodes alone.  Each cut's
-    destinations are then put in its order of the module table: right
-    nodes, every BS's antennas in BS order and the RCP for L1; right nodes
-    and right-BS antennas for L2.
+    antennas and the RCP, face the left nodes alone.  Each destination's
+    group is decided once, from where it lies in this layout: a right node
+    or the RCP is D1 or D3, and an antenna is D2 only when its BS is left.
+    Each cut's destinations are then put in its order of the module table:
+    right nodes, every BS's antennas in BS order and the RCP for L1; right
+    nodes and right-BS antennas for L2.
     """
     mid = topo.config.side / 2.0
     nodes, ants, m, l = topo.node_positions, topo.antenna_positions, topo.m, topo.l
@@ -185,26 +151,24 @@ def cut_bounds(
     shared = np.vstack([right, ants[rbs].reshape(-1, 2)])
     own = np.vstack([ants[lbs].reshape(-1, 2), topo.rcp_position[None, :]])
 
-    out = _buffers((len(shared), len(src)), (len(own), n_left))
-    l2_amp, l1_shared = _amp_sums(shared, src, amp, ch.alpha, n_left, out)
-    l1_own, _ = _amp_sums(own, src[:n_left], amp[:n_left], ch.alpha, 0, out)
+    l2_amp, l1_shared = _amp_sums(shared, src, amp, ch.alpha, n_left)
+    l1_own, _ = _amp_sums(own, src[:n_left], amp[:n_left], ch.alpha, 0)
+
+    # an antenna within 1 of its left BS's footprint edge is in the D2 ring
+    cheb = np.abs(ants - topo.bs_centers[:, None, :]).max(axis=2)
+    ring = left_bs[:, None] & (topo.footprint_side / 2.0 - cheb <= 1.0)
+    ant_group = _group(ants[..., 0], mid, ring)  # (m, l)
+    right_group = _group(right[:, 0], mid)
+    rcp_group = _group(topo.rcp_position[:1], mid)
 
     l1_ant = np.empty((m, l))
     l1_ant[rbs] = l1_shared[n_right:].reshape(-1, l)
     l1_ant[lbs] = l1_own[:-1].reshape(-1, l)
-    l1 = _evaluate(
-        "L1", topo,
-        np.vstack([right, ants.reshape(-1, 2), topo.rcp_position[None, :]]),
-        np.concatenate([np.full(n_right, -1), np.repeat(np.arange(m), l), [-1]]),
-        np.concatenate([l1_shared[:n_right], l1_ant.ravel(), l1_own[-1:]]),
-        0.0,
-    )
-    l2 = _evaluate(
-        "L2", topo, shared,
-        np.concatenate([np.full(n_right, -1), np.repeat(rbs, l)]),
-        l2_amp,
-        len(lbs) * cfg.r_bs if len(lbs) else 0.0,
-    )
+    l1_amp = np.concatenate([l1_shared[:n_right], l1_ant.ravel(), l1_own[-1:]])
+    l1 = _evaluate("L1", l1_amp,
+                   np.concatenate([right_group, ant_group.ravel(), rcp_group]), 0.0)
+    l2 = _evaluate("L2", l2_amp, np.concatenate([right_group, ant_group[rbs].ravel()]),
+                   len(lbs) * cfg.r_bs if len(lbs) else 0.0)
     return l1, l2
 
 

@@ -302,15 +302,15 @@ def simulate_mh(
 # IMH
 # ---------------------------------------------------------------------------
 
-def _infra_result(scheme: str, topo: Topology, r_bs: float, up: np.ndarray,
-                  down: np.ndarray, down_total: float) -> SimResult:
+def _infra_result(scheme: str, topo: Topology, r_bs: float, home: np.ndarray,
+                  up: np.ndarray, down: np.ndarray, down_total: float) -> SimResult:
     """The wired stage shared by IMH and ISH, ending either scheme's result.
 
     Flow f gets min(up[f], its equal split of R_BS at its source's BS and at
     its destination's BS, down[f]).  The backhaul stage reports
-    sum_b min(access demand at b, R_BS) <= m * R_BS.
+    sum_b min(access demand at b, R_BS) <= m * R_BS.  ``home`` is each
+    node's BS cell.
     """
-    home = topo.cell_index_of(topo.node_positions)
 
     def share(bs):  # equal split of each BS's wired link among its flows
         return (r_bs / np.maximum(np.bincount(bs, minlength=topo.m), 1.0))[bs]
@@ -346,7 +346,7 @@ def simulate_imh(topo: Topology, ch: ChannelRealization, cfg: SimConfig) -> SimR
     exit_ = _multihop_shares(
         grid, cfg, ch.alpha, n + dst, 3 * n + home[dst], ant[dst], pos[dst], par
     )
-    return _infra_result("IMH", topo, cfg.r_bs, access, exit_, exit_.sum())
+    return _infra_result("IMH", topo, cfg.r_bs, home, access, exit_, exit_.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +444,7 @@ def simulate_ish(topo: Topology, ch: ChannelRealization, cfg: SimConfig) -> SimR
     q = bs_power / np.maximum(count, 1)
     r_down = _sic_rates(down, np.eye(l, dtype=complex), q)[home, col]
 
-    return _infra_result("ISH", topo, cfg.r_bs, r_up, r_down[dst], r_down.sum())
+    return _infra_result("ISH", topo, cfg.r_bs, home, r_up, r_down[dst], r_down.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +506,6 @@ def estimate_hc_single_level(
     """
     n = topo.n
     m_target = max(1, round(n ** cfg.hc_cluster_exponent))
-    if m_target > n:
-        raise ValueError(f"cluster size {m_target} exceeds n={n}")
     cg = max(1, round(math.sqrt(n / m_target)))
     pos = topo.node_positions
     ij = grid_cell(pos, topo.config.side / cg, cg)

@@ -309,9 +309,9 @@ def _breakpoints(beta: float, gamma: float, eta: float) -> tuple[AlphaInterval, 
     """
     lines = _lines(beta, gamma, eta)
     _, c, s = map(np.array, zip(*lines))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x = np.unique((c[:, None] - c) / (s[:, None] - s))
-    edges = np.append(np.nextafter(2.0, INF), x[(x > 2.0) & np.isfinite(2.0 * x)])
+        edges = np.append(np.nextafter(2.0, INF), x[(x > 2.0) & np.isfinite(2.0 * x)])
     near = edges[1:].view(np.int64)[:, None] + np.arange(-_NEAR, _NEAR + 1)
     alpha = np.sort(np.concatenate([edges, (edges[:-1] + edges[1:]) / 2.0,
                                     [2.0 * edges[-1]], near.ravel().view(float)]))
@@ -476,8 +476,9 @@ def map_finite_n(n: int, p: ScalingPoint) -> FiniteNMapping:
 
     m = round(n^beta) pushed down to the nearest perfect square so the BSs
     form a square grid; l = max(1, round(n^gamma)); R_BS = n^eta with eta
-    = -inf mapping to 0 and +inf to math.inf.  If m*l would exceed n, l is
-    clipped to n // m and a warning is emitted.
+    = -inf mapping to 0 and +inf to math.inf; a finite eta whose n^eta
+    overflows a float is a ValueError.  If m*l would exceed n, l is clipped
+    to n // m and a warning is emitted.
     """
     if n < 4:
         raise ValueError(f"n must be at least 4, got {n}")
@@ -498,5 +499,9 @@ def map_finite_n(n: int, p: ScalingPoint) -> FiniteNMapping:
     elif p.eta == INF:
         r_bs = INF
     else:
-        r_bs = float(n) ** p.eta
+        try:
+            r_bs = float(n) ** p.eta
+        except OverflowError:
+            raise ValueError(f"R_BS = n^eta overflows a float at n={n}, eta={p.eta:g}; "
+                             "--eta=inf means unlimited backhaul") from None
     return FiniteNMapping(n=n, m=m, l=l, r_bs=r_bs, l_clipped=clipped)

@@ -6,14 +6,16 @@ closed-form region inequalities the classifier under test uses.
 
 The dense distance and MISO references are the one-shot forms that the
 blocked and tensor-free kernels in ``channel`` and ``cutset`` must equal
-bit for bit, and the per-cut builder over them is what the one-pass
-``cutset.cut_bounds`` must equal byte for byte; the exp gain form and the
-per-cell MMSE-SIC loop are the ones that ``channel.path_gains`` and the
-stacked ``protocols._sic_rates`` must equal bit for bit, and the one-pair
-gain matrix and 2-D log-determinant are what the blocked
-``channel.node_gain_blocks`` and the stacked ``protocols.hc_long_range_rates``
-must equal bit for bit.  The log-det sum capacity is what the rates of one
-``_sic_rates`` cell must add up to.
+bit for bit, and the per-cut builder over them, which puts each destination
+in its D1/D2/D3 group from its position and owning BS alone
+(``group_masks``), is what the one-pass ``cutset.cut_bounds`` must equal
+byte for byte; the exp gain form and the per-cell MMSE-SIC loop are the
+ones that ``channel.path_gains`` and the stacked ``protocols._sic_rates``
+must equal bit for bit, and the one-pair gain matrix and 2-D
+log-determinant are what the blocked ``channel.node_gain_blocks`` and the
+stacked ``protocols.hc_long_range_rates`` must equal bit for bit.  The
+log-det sum capacity is what the rates of one ``_sic_rates`` cell must add
+up to.
 """
 
 import math
@@ -27,7 +29,7 @@ from hybridscale.channel import (
     _phase,
     path_gains,
 )
-from hybridscale.cutset import _GROUPS, CutBound, _group_masks
+from hybridscale.cutset import _GROUPS, CutBound
 from hybridscale.scaling import SCHEME_CODES, best_scheme_grid
 
 ALPHA_SWEEP = np.linspace(2.001, 12.0, 571)
@@ -131,6 +133,30 @@ def dense_miso_bits(dest_pos, src_pos, src_amp, alpha):
     return np.log2(1.0 + amp * amp)
 
 
+def group_masks(topo, dest_pos, dest_owner):
+    """Partition destinations into D1/D2/D3 (priority order, disjoint).
+
+    dest_owner holds the owning BS index for antenna entries and -1 for
+    nodes and the central processor.
+    """
+    mid = topo.config.side / 2.0
+    x = dest_pos[:, 0]
+    d1 = (x >= mid) & (x < mid + 1.0)
+
+    is_antenna = dest_owner >= 0
+    ring = np.zeros(len(dest_pos), dtype=bool)
+    if is_antenna.any():
+        owners = dest_owner[is_antenna]
+        centers = topo.bs_centers[owners]
+        left_bs = centers[:, 0] < mid
+        cheb = np.abs(dest_pos[is_antenna] - centers).max(axis=1)
+        inside = topo.footprint_side / 2.0 - cheb
+        ring[is_antenna] = left_bs & (inside <= 1.0)
+    d2 = ring & ~d1
+    d3 = ~(d1 | d2)
+    return {"D1": d1, "D2": d2, "D3": d3}
+
+
 def _per_cut(name, topo, alpha, p, src_bs, dest_bs, extra_dest, wired):
     """Left nodes and the antennas of ``src_bs`` against the right nodes,
     the antennas of ``dest_bs`` and ``extra_dest`` (owned by no BS)."""
@@ -151,7 +177,7 @@ def _per_cut(name, topo, alpha, p, src_bs, dest_bs, extra_dest, wired):
         np.full(len(extra_dest), -1),
     ])
     bits = dense_miso_bits(dest_pos, src_pos, src_amp, alpha)
-    masks = _group_masks(topo, dest_pos, dest_owner)
+    masks = group_masks(topo, dest_pos, dest_owner)
     terms = {g: float(bits[masks[g]].sum()) for g in _GROUPS}
     return CutBound(name, terms, wired, sum(terms.values()) + wired)
 

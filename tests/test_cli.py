@@ -176,6 +176,33 @@ def test_simulate_bad_instance_is_one_line_error(capsys, flags, message):
     assert err.count("\n") == 1
 
 
+_OVERFLOW = ["--alpha", "3", "--beta", "0.5", "--gamma", "0.25", "--schemes", "IMH"]
+
+
+@pytest.mark.parametrize("argv, config, n, eta", [
+    (["bound", "--sizes", "64", "--seeds", "0", "--alpha", "3", "--beta", "0",
+      "--gamma", "0", "--eta", "171"], {}, 64, 171),
+    (["simulate", "--sizes", "1024", "2048", "4096", "--seeds", "0", *_OVERFLOW,
+      "--eta", "100"], {}, 2048, 100),
+    (["simulate", "--sizes", "1024", "2048", "4096", "--seeds", "0", *_OVERFLOW],
+     {"eta": 500}, 1024, 500),
+])
+def test_overflowing_backhaul_is_one_line_error(tmp_path, capsys, argv, config, n, eta):
+    """R_BS = n^eta past the largest float fails at the first such n in
+    serial order; eta = 170 at n = 64 (R_BS = 2^1020) still runs."""
+    if config:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"schema_version": 1, **config}))
+        argv = ["--config", str(path), *argv]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: R_BS = n^eta overflows a float at n={n}, eta={eta}; "
+        "--eta=inf means unlimited backhaul\n")
+    assert cli.main(["bound", "--sizes", "64", "--seeds", "0", "--alpha", "3",
+                     "--beta", "0", "--gamma", "0", "--eta", "170"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_import_loads_no_scipy():
     code = ("import sys, hybridscale.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hybridscale.scaling import (
     achievable_exponent,
     achievable_exponent_grid,
     best_scheme_grid,
+    classify_regime_3d,
     limitation_flags,
     map_finite_n,
     min_backhaul_exponent,
@@ -369,6 +371,23 @@ def test_map_finite_n_guards_m_below_n():
     with pytest.warns(UserWarning, match="reduced"):
         fm = map_finite_n(4, ScalingPoint(3.0, 0.99, 0.0, INF))
     assert fm.m == 1
+
+
+def test_map_finite_n_rejects_an_overflowing_backhaul():
+    assert map_finite_n(64, ScalingPoint(3.0, 0.0, 0.0, 170.0)).r_bs == 2.0**1020
+    with pytest.raises(ValueError, match=r"n=64, eta=171;"):
+        map_finite_n(64, ScalingPoint(3.0, 0.0, 0.0, 171.0))
+
+
+@pytest.mark.parametrize("eta, limit", [(1e308, INF), (5e307, INF), (-1e308, NEG_INF)])
+def test_extreme_eta_reads_like_infinite_eta_without_warnings(eta, limit):
+    """Crossings that overflow lie past every finite alpha and are dropped."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = classify_regime_3d(0.5, 0.5, eta)
+        want = classify_regime_3d(0.5, 0.5, limit)
+        assert got.label3d == want.label3d
+        assert got.alpha_breakpoints == want.alpha_breakpoints
 
 
 def test_map_finite_n_rejects_tiny_networks():
