@@ -15,9 +15,13 @@ processes, largest n first: every usable core when BLAS runs on one
 thread (``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, is 1), and
 one process otherwise, where BLAS threads would oversubscribe the cores.
 A unit is plain data: it builds its instance, runs, drops the instance
-and sends back only the scalars the rows need.  Rows, checks and slopes
-are put together in serial order, so the output bytes do not depend on
-the worker count.
+and sends back only what the rows need.  HC, the costliest scheme, runs
+as one slice per worker, each on every k-th of the cross-cluster pairs;
+the slices send back their pair rates (the first also the clusters'
+scalars), and HC's time sum runs in the caller.  Within one n the pool
+takes HC's slices and ISH before the cut bound, MH and IMH.  Rows, checks
+and slopes are put together in serial order, so the output bytes do not
+depend on the worker count.
 
 CSV files start with ``# key=value`` comment lines carrying the full
 effective configuration (sorted by key), so re-running the embedded
@@ -37,6 +41,7 @@ Bound CSV columns: n,m,l,R_BS,alpha,seed,cut,D1,D2,D3,wired,total.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -57,6 +62,9 @@ from .protocols import (
     NonFiniteRateError,
     SimConfig,
     fit_scaling_exponent,
+    hc_frame,
+    hc_long_range_rates,
+    hc_result,
 )
 from .scaling import (
     INF,
@@ -392,59 +400,102 @@ def _plans(opts: dict, p: ScalingPoint, seeds: list[int]):
     return plans, None
 
 
-def _unit(alpha: float, plan: tuple, name: str):
-    """One unit of the instance ``plan`` at path-loss exponent ``alpha``: its
-    (L1, L2, min cut) for ``name`` "cut", else scheme ``name``'s (aggregate,
-    stage rates).  The unit builds the instance's topology and channel
-    first, so their errors come first, and drops them when it returns, so a
-    process holds one instance at a time.  A min cut or aggregate that is
-    not finite is an error; an overflow on the way warns nothing, because
-    it either ends in that error or does not reach the result."""
+def _finite(name: str, value: float, plan: tuple) -> float:
+    """``value``, the result ``name`` of the instance ``plan``, if it is finite."""
+    n, seed, _, cfg = plan
+    if not math.isfinite(value):
+        raise NonFiniteRateError(f"{name} is {_fmt(value)} at n={n} seed={seed}, "
+                                 f"power {_fmt(cfg.p)}; a rate must be finite")
+    return value
+
+
+def _hc_slice(topo, ch, cfg: SimConfig, part: int, parts: int):
+    """Slice ``part`` of ``parts`` of HC on one instance: the cluster frame
+    (slice 0 only, None from the others), and the long-range rates of every
+    ``parts``-th cross pair from the ``part``-th on, in key order."""
+    members, frame = hc_frame(topo, cfg, ch.alpha)
+    rates = hc_long_range_rates(ch, members, frame.cross()[part::parts], cfg.p)
+    return frame if part == 0 else None, rates
+
+
+def _unit(alpha: float, plan: tuple, name: str, part: int, parts: int):
+    """Part ``part`` of ``parts`` of unit ``name`` of the instance ``plan``
+    at path-loss exponent ``alpha``: the cut bound ("cut") gives (L1, L2,
+    min cut) and a scheme its (aggregate, stage rates), except HC, whose
+    parts are the ``_hc_slice``s that ``_hc_run`` joins.  The unit builds
+    the instance's topology and channel first, so their errors come first,
+    and drops them when it returns, so a process holds one instance at a
+    time.  A min cut or aggregate that is not finite is an error; an
+    overflow on the way warns nothing, because it either ends in that error
+    or does not reach the result."""
     n, seed, fm, cfg = plan
     topo = generate_topology(TopologyConfig(n=n, m=fm.m, l=fm.l, seed=seed))
     ch = ChannelRealization(topo, alpha=alpha, phase_seed=seed)
     with np.errstate(over="ignore"):
         if name == "cut":
             b1, b2 = cut_bounds(topo, ch, cfg)
-            result = b1, b2, min(b1.total, b2.total)
-            value, name = result[2], "MIN_CUT"
-        else:
-            res = _RUNNERS[name](topo, ch, cfg)
-            value = res.aggregate_throughput
-            result = value, res.stage_rates
-    if not math.isfinite(value):
-        raise NonFiniteRateError(f"{name} is {_fmt(value)} at n={n} seed={seed}, "
-                                 f"power {_fmt(cfg.p)}; a rate must be finite")
-    return result
+            return b1, b2, _finite("MIN_CUT", min(b1.total, b2.total), plan)
+        if name == "HC":
+            return _hc_slice(topo, ch, cfg, part, parts)
+        res = _RUNNERS[name](topo, ch, cfg)
+    return _finite(name, res.aggregate_throughput, plan), res.stage_rates
 
 
-def _run_units(units: list) -> list:
-    """``_unit(*u)`` of each u in ``units``, in their order; the error raised
-    is the first one in that order.
+def _hc_run(plan: tuple, slices: list):
+    """HC's (aggregate, stage rates) on the instance ``plan`` from the
+    results of its slices, in part order: their rates are put back in key
+    order and the time sum runs on the frame alone, with no instance."""
+    n, _, _, cfg = plan
+    frame = slices[0][0]
+    r2 = np.empty(sum(len(rates) for _, rates in slices))
+    for part, (_, rates) in enumerate(slices):
+        r2[part::len(slices)] = rates
+    with np.errstate(over="ignore"):
+        res = hc_result(n, frame, r2, cfg.hc_quant_bits)
+    return _finite("HC", res.aggregate_throughput, plan), res.stage_rates
+
+
+#: the units that carry the most work at their n: the pool takes them first
+_HEAVY = ("HC", "ISH")
+
+
+def _submit_order(units: list) -> list[int]:
+    """The indices of ``units`` in the order the pool takes them: largest n
+    first, and within one n HC's slices and ISH before the cut bound, MH and
+    IMH, so the longest units do not start last; otherwise in serial order.
+    """
+    return sorted(range(len(units)),
+                  key=lambda i: (-units[i][1][0], units[i][2] not in _HEAVY))
+
+
+def _run_units(units: list):
+    """``_unit(*u)`` of each u in ``units``, yielded in their order; the
+    error raised is the first one in that order.
 
     With one worker, or without ``fork``, the units run here one by one.
-    Otherwise they run on a pool of forked workers.  A unit is plain data;
-    the runners and the channel class it uses are ``cli``'s names, which a
-    worker inherits through the fork, so nothing that cannot be pickled (a
-    closure, a class defined in a function) ever has to be."""
+    Otherwise they run on a pool of forked workers, taken in
+    ``_submit_order``.  A unit is plain data; the runners and the channel
+    class it uses are ``cli``'s names, which a worker inherits through the
+    fork, so nothing that cannot be pickled (a closure, a class defined in
+    a function) ever has to be.  Close the iterator to shut the pool down
+    early."""
     workers = _worker_count(len(units))
     if workers > 1:
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
             return _pool_run(units, workers, multiprocessing.get_context("fork"))
-    return [_unit(*u) for u in units]
+    return (_unit(*u) for u in units)
 
 
-def _pool_run(units: list, workers: int, context) -> list:
+def _pool_run(units: list, workers: int, context):
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     pool = ProcessPoolExecutor(workers, mp_context=context)
     try:
-        # largest n first, in serial order within each n (sorted is stable)
-        order = sorted(range(len(units)), key=lambda i: -units[i][1][0])
-        futures = {i: pool.submit(_unit, *units[i]) for i in order}
-        return [futures[i].result() for i in range(len(units))]
+        futures = {i: pool.submit(_unit, *units[i]) for i in _submit_order(units)}
+        for i in range(len(units)):
+            yield futures.pop(i).result()
     except BrokenProcessPool as exc:
         raise WorkerDiedError(f"a worker process died ({exc}); rerun on one core "
                               "(e.g. under taskset -c 0) to run in one process") from None
@@ -455,14 +506,26 @@ def _pool_run(units: list, workers: int, context) -> list:
 def _evaluate(opts: dict, p: ScalingPoint, seeds: list[int], schemes) -> list:
     """Each planned (n, seed, fm, cfg) with the results of its units, in
     serial order: (L1, L2, min cut), then one (aggregate, stage rates) per
-    scheme.  The error raised is the first in serial order: a unit's, or
+    scheme.  HC runs as one slice per worker, joined here in serial order.
+    The error raised is the first in serial order: a unit's or HC's, or
     else the one that stopped the planning."""
     plans, failure = _plans(opts, p, seeds)
     names = ("cut", *schemes)
-    results = iter(_run_units([(p.alpha, plan, name) for plan in plans for name in names]))
+    # as many HC slices as the pool's workers, which is then every core
+    parts = {name: _worker_count(sys.maxsize) if name == "HC" else 1 for name in names}
+    units = [(p.alpha, plan, name, part, parts[name])
+             for plan in plans for name in names for part in range(parts[name])]
+    evaluated = []
+    with contextlib.closing(_run_units(units)) as results:
+        for plan in plans:
+            runs = []
+            for name in names:
+                got = [next(results) for _ in range(parts[name])]
+                runs.append(_hc_run(plan, got) if name == "HC" else got[0])
+            evaluated.append((plan, runs))
     if failure is not None:
         raise failure
-    return [(plan, [next(results) for _ in names]) for plan in plans]
+    return evaluated
 
 
 def _run_header(command: str, p: ScalingPoint, opts: dict, seeds: list[int]) -> dict:

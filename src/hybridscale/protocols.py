@@ -14,9 +14,10 @@ power P, per-BS power nP/m.  Schemes:
 * HC   - single-level estimate of hierarchical cooperation (intra-cluster
          exchange, long-range MIMO, quantize-and-collect); labeled as an
          estimate, not the recursive scheme.  The long-range MIMO hops of
-         all cluster pairs are evaluated together: sorted by shape, their
-         gains built in blocks of pairs, one stacked slogdet per run of
-         equal shape.
+         a list of cluster pairs are evaluated together: sorted by shape,
+         their gains built in blocks of pairs, one stacked slogdet per run
+         of equal shape.  A pair's rate does not depend on the pairs it is
+         evaluated with, so the list may be split into slices.
 
 MH and both IMH radio stages share one multihop kernel on a g x g grid of
 routing cells.  Routing contract: a route is a pure function of the instance
@@ -33,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -490,19 +492,29 @@ def _cluster_nn_rate(pos: np.ndarray, members: np.ndarray, p: float, alpha: floa
     return rate
 
 
-def estimate_hc_single_level(
-    topo: Topology, ch: ChannelRealization, cfg: SimConfig
-) -> SimResult:
-    """One-level hierarchical-cooperation throughput estimate.
+class HcFrame(NamedTuple):
+    """The scalars of HC's cluster frame, all that its time sum needs.
 
-    Clusters are the squares of a round(sqrt(n/M)) grid with M = n^x.  For
-    each ordered cluster pair carrying f flows the cycle time adds
-    f/r_A (intra-source-cluster exchange) + f/R2 (long-range MIMO) +
-    f*|B|*Q/(R2*r_B) (quantize-and-collect); same-cluster flows pay f/r_A
-    at nearest-neighbor rates.  Aggregate = n / total cycle time.  The R2 of
-    every cross-cluster pair comes from one ``hc_long_range_rates`` call
-    (blocks of pairs sorted by shape, one stacked slogdet per run of equal
-    shape); the times are then added in the sorted order of the pair keys.
+    ``pairs`` holds the ordered cluster pairs (a, b) that carry flows, one
+    a row, in the sorted order of their keys a * cg^2 + b, and ``flows``
+    the flows of each; ``sizes`` and ``nn_rate`` are each cluster's node
+    count and worst nearest-neighbor rate (inf below two nodes).
+    """
+
+    pairs: np.ndarray
+    flows: np.ndarray
+    sizes: np.ndarray
+    nn_rate: np.ndarray
+
+    def cross(self) -> list:
+        """The pairs of two distinct clusters: their hop is a long-range MIMO one."""
+        return [(a, b) for a, b in self.pairs.tolist() if a != b]
+
+
+def hc_frame(topo: Topology, cfg: SimConfig, alpha: float) -> tuple[list, HcFrame]:
+    """The nodes of each of HC's clusters on ``topo``, and the frame of scalars.
+
+    Clusters are the squares of a round(sqrt(n/M)) grid with M = n^x.
     """
     n = topo.n
     m_target = max(1, round(n ** cfg.hc_cluster_exponent))
@@ -510,45 +522,69 @@ def estimate_hc_single_level(
     pos = topo.node_positions
     ij = grid_cell(pos, topo.config.side / cg, cg)
     cluster = ij[:, 0] + cg * ij[:, 1]
-    dst = topo.sd_pairing
 
     count = np.bincount(cluster, minlength=cg * cg)
     members = np.split(np.argsort(cluster, kind="stable"), np.cumsum(count)[:-1])
     nn_rate = [
-        _cluster_nn_rate(pos, mem, cfg.p, ch.alpha) if mem.size >= 2 else math.inf
+        _cluster_nn_rate(pos, mem, cfg.p, alpha) if mem.size >= 2 else math.inf
         for mem in members
     ]
+    keys, flows = np.unique(cluster * (cg * cg) + cluster[topo.sd_pairing],
+                            return_counts=True)
+    pairs = np.stack(np.divmod(keys, cg * cg), axis=1)
+    return members, HcFrame(pairs, flows, count, np.array(nn_rate))
 
-    # flows per ordered cluster pair (a, b), keyed a * cg^2 + b in sorted order
-    keys, flows = np.unique(cluster * (cg * cg) + cluster[dst], return_counts=True)
-    pairs = [divmod(key, cg * cg) for key in keys.tolist()]
-    r2s = iter(hc_long_range_rates(
-        ch, members, [(ca, cb) for ca, cb in pairs if ca != cb], cfg.p
-    ).tolist())
+
+def hc_result(n: int, frame: HcFrame, long_range: np.ndarray,
+              quant_bits: int) -> SimResult:
+    """HC's estimate from its frame and the rates ``long_range`` (R2) of the
+    frame's cross pairs, in the order of ``frame.cross()``.
+
+    For each ordered cluster pair carrying f flows the cycle time adds
+    f/r_A (intra-source-cluster exchange) + f/R2 (long-range MIMO) +
+    f*|B|*Q/(R2*r_B) (quantize-and-collect); same-cluster flows pay f/r_A
+    at nearest-neighbor rates.  The times are added in the frame's pair
+    order.  Aggregate = n / total cycle time.
+    """
 
     def slot_time(bits: float, rate: float) -> float:
         return bits / rate if rate > 0.0 else math.inf
 
+    r2s = iter(long_range.tolist())
+    sizes, nn_rate = frame.sizes.tolist(), frame.nn_rate.tolist()
     total_time = 0.0
-    q = float(cfg.hc_quant_bits)
-    for (ca, cb), f in zip(pairs, flows.tolist()):
+    q = float(quant_bits)
+    for ca, cb, f in zip(*frame.pairs.T.tolist(), frame.flows.tolist()):
         r_a = nn_rate[ca]
         if ca == cb:
             total_time += slot_time(f, r_a)  # direct nearest-neighbor delivery
             continue
-        t1 = slot_time(f, r_a) if members[ca].size >= 2 else 0.0
+        t1 = slot_time(f, r_a) if sizes[ca] >= 2 else 0.0
         r2 = next(r2s)
         t2 = slot_time(f, r2)
-        t3 = (
-            slot_time(f * members[cb].size * q, r2 * nn_rate[cb])
-            if members[cb].size >= 2
-            else 0.0
-        )
+        t3 = slot_time(f * sizes[cb] * q, r2 * nn_rate[cb]) if sizes[cb] >= 2 else 0.0
         total_time += t1 + t2 + t3
 
     aggregate = n / total_time if total_time > 0.0 else math.inf
-    per_pair = np.full(n, aggregate / n)
-    return _result("HC", per_pair, detail="single_level_estimate")
+    return _result("HC", np.full(n, aggregate / n), detail="single_level_estimate")
+
+
+def estimate_hc_single_level(
+    topo: Topology, ch: ChannelRealization, cfg: SimConfig
+) -> SimResult:
+    """One-level hierarchical-cooperation throughput estimate.
+
+    The composition of three pieces: the cluster frame (``hc_frame``), the
+    R2 of every cross-cluster pair from one ``hc_long_range_rates`` call
+    (blocks of pairs sorted by shape, one stacked slogdet per run of equal
+    shape), and the time sum in the sorted order of the pair keys
+    (``hc_result``).  ``simulate`` composes the same pieces, with the
+    cross pairs split into strided slices, one ``hc_long_range_rates`` call
+    each; a pair's rate does not depend on the pairs it is computed with.
+    """
+    members, frame = hc_frame(topo, cfg, ch.alpha)
+    r2 = hc_long_range_rates(ch, members, frame.cross(), cfg.p)
+    return hc_result(topo.n, frame, r2, cfg.hc_quant_bits)
 
 
 # ---------------------------------------------------------------------------

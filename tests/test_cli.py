@@ -715,7 +715,7 @@ def test_pool_inherits_what_cannot_be_pickled(capsys, monkeypatch):
     assert pooled == serial and pooled[0] == 0
 
 
-@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("cores", [1, 2, 3])
 @pytest.mark.parametrize("hc_fails, sizes, err", [
     (True, "256", "n=128 seed=1"),   # the pool runs n=256 first
     (True, "3", "n=128 seed=1"),     # a failing unit before an unplannable instance
@@ -723,18 +723,20 @@ def test_pool_inherits_what_cannot_be_pickled(capsys, monkeypatch):
 ])
 def test_first_error_in_serial_order_is_reported(capsys, monkeypatch, cores,
                                                  hc_fails, sizes, err):
-    def fail(topo, ch, cfg):
+    """HC's failure is injected into its slices, which ``cli`` runs in
+    place of the ``HC`` runner."""
+    def fail(topo, ch, cfg, part, parts):
         raise ZeroDistanceError(f"n={topo.n} seed={topo.config.seed}")
 
     if hc_fails:
-        monkeypatch.setitem(cli._RUNNERS, "HC", fail)
+        monkeypatch.setattr(cli, "_hc_slice", fail)
     _cores(monkeypatch, cores)
     argv = list(_POOL_RUN)
     argv[3] = sizes
     assert _run(capsys, argv) == (2, "", f"error: {err}\n")
 
 
-@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("cores", [1, 2, 3])
 @pytest.mark.parametrize("hc_fails_at, err", [
     ((128, 1), "HC at n=128 seed=1"),   # an earlier instance's unit
     ((256, 0), "no layout at n=256"),   # a later instance's unit
@@ -744,23 +746,76 @@ def test_unbuildable_instance_fails_in_serial_order(capsys, monkeypatch, cores,
     """The instance (n=256, seed=1) cannot be laid out.  Every unit of it
     builds it, and its first unit fails first, so its error comes after
     those of the instances before it and before those of the instances
-    after it."""
-    real_topology, real_hc = cli.generate_topology, cli._RUNNERS["HC"]
+    after it.  HC fails in its last slice, which the pool takes early."""
+    real_topology, real_slice = cli.generate_topology, cli._hc_slice
 
     def generate(config):
         if (config.n, config.seed) == (256, 1):
             raise InfeasibleGeometryError(f"no layout at n={config.n}")
         return real_topology(config)
 
-    def hc(topo, ch, cfg):
-        if (topo.n, topo.config.seed) == hc_fails_at:
+    def hc(topo, ch, cfg, part, parts):
+        if (topo.n, topo.config.seed) == hc_fails_at and part == parts - 1:
             raise ZeroDistanceError(f"HC at n={topo.n} seed={topo.config.seed}")
-        return real_hc(topo, ch, cfg)
+        return real_slice(topo, ch, cfg, part, parts)
 
     monkeypatch.setattr(cli, "generate_topology", generate)
-    monkeypatch.setitem(cli._RUNNERS, "HC", hc)
+    monkeypatch.setattr(cli, "_hc_slice", hc)
     _cores(monkeypatch, cores)
     assert _run(capsys, _POOL_RUN) == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("fault, err", [
+    ("raises", "HC at n=128 seed=1"),
+    ("inf", "HC is inf at n=128 seed=1, power 100.0; a rate must be finite"),
+])
+def test_hc_slice_fails_before_a_later_instance_does(capsys, monkeypatch, cores,
+                                                     fault, err):
+    """HC of the first instance (n=128, seed=1) and MH of a later one (n=256,
+    which the pool runs first) both fail.  HC's last slice raises, or its
+    slices' rates make HC's aggregate inf, which only the join of the
+    slices finds; either way HC's error is the one reported."""
+    real_slice, real_mh = cli._hc_slice, cli._RUNNERS["MH"]
+
+    def hc(topo, ch, cfg, part, parts):
+        frame, rates = real_slice(topo, ch, cfg, part, parts)
+        if (topo.n, topo.config.seed) != (128, 1):
+            return frame, rates
+        if fault == "raises":
+            if part == parts - 1:
+                raise ZeroDistanceError(f"HC at n={topo.n} seed={topo.config.seed}")
+            return frame, rates
+        # every hop infinitely fast: no time adds up
+        if frame is not None:  # the first slice's
+            frame = frame._replace(nn_rate=np.full(frame.nn_rate.shape, math.inf))
+        return frame, np.full(rates.shape, math.inf)
+
+    def mh(topo, ch, cfg):
+        if topo.n == 256:
+            raise ZeroDistanceError(f"MH at n={topo.n}")
+        return real_mh(topo, ch, cfg)
+
+    monkeypatch.setattr(cli, "_hc_slice", hc)
+    monkeypatch.setitem(cli._RUNNERS, "MH", mh)
+    _cores(monkeypatch, cores)
+    assert _run(capsys, _POOL_RUN) == (2, "", f"error: {err}\n")
+
+
+def test_pool_takes_the_largest_n_first_and_its_heaviest_units_first():
+    """HC's slices and ISH go before the cut bound, MH and IMH of their n;
+    otherwise the pool keeps the serial order."""
+    names = [("cut", 0), ("MH", 0), ("HC", 0), ("HC", 1), ("IMH", 0), ("ISH", 0)]
+    units = [(3.0, (n, seed, None, None), name, part, 2 if name == "HC" else 1)
+             for n in (128, 512, 256) for seed in (0, 1) for name, part in names]
+    order = [(units[i][1][:2], *units[i][2:4]) for i in cli._submit_order(units)]
+    want = []
+    for n in (512, 256, 128):
+        for heavy in (True, False):
+            want += [((n, seed), name, part) for seed in (0, 1) for name, part in names
+                     if (name in ("HC", "ISH")) == heavy]
+    assert order == want
+    assert sorted(cli._submit_order(units)) == list(range(len(units)))
 
 
 def _killed(topo, ch, cfg):

@@ -130,17 +130,34 @@ def test_cli_output_matches_golden(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
-@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("cores", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(k for k, v in CASES.items()
                                         if v[0] in ("simulate", "bound")))
 def test_monte_carlo_output_matches_golden_on_any_cores(name, cores, tmp_path,
                                                         monkeypatch):
-    """The same bytes in one process and from a pool of two forked workers."""
+    """The same bytes in one process and from a pool of two or three forked
+    workers; with three, HC's slices hold unequal numbers of pairs."""
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
     out = tmp_path / name
     assert cli.main([*CASES[name], "-o", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_tiny_network_on_three_workers_matches_one_process(tmp_path, monkeypatch):
+    """At n = 4 HC has one cluster, so none of its three slices holds a
+    pair; at n = 16 it has four clusters."""
+    argv = ["simulate", "--sizes", "4", "16", "--seeds", "0", "1", "--alpha", "3",
+            "--beta", "0", "--gamma", "0", "--eta=inf", "--schemes", "MH", "HC"]
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    outputs = []
+    for cores in (1, 3):
+        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+        out = tmp_path / f"cores{cores}.csv"
+        assert cli.main([*argv, "-o", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert b"\nHC,4,1,1," in outputs[0] and b"\nHC,16,1,1," in outputs[0]
 
 
 @pytest.mark.parametrize("name", sorted(STDOUT_CASES))

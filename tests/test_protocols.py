@@ -450,6 +450,59 @@ def test_hc_long_range_rates_equal_per_pair_oracle_bit_for_bit(case):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def _partitions(count):
+    """Index lists that split ``count`` cross pairs: strided slices for 2, 3
+    and 5 parts, then uneven contiguous cuts with an empty slice among them."""
+    for k in (2, 3, 5):
+        yield [list(range(part, count, k)) for part in range(k)]
+    cuts = [0, 1, count // 3, count // 3, count - 1, count]
+    yield [list(range(a, b)) for a, b in zip(cuts, cuts[1:])]
+
+
+@pytest.mark.parametrize("n, alpha, x", [
+    *((n, alpha, 0.5) for n in (512, 1024, 2048) for alpha in (2.5, 3.0, 4.0)),
+    (1024, 3.0, 0.7),   # nine clusters of about 114 nodes
+])
+def test_hc_long_range_rates_of_any_partition_reassemble_bit_for_bit(n, alpha, x):
+    """A cross pair's rate does not depend on the pairs it is computed with,
+    so HC's slices, put back in key order, give the one-call rates."""
+    topo = generate_topology(TopologyConfig(n=n, seed=n % 7))
+    ch = ChannelRealization(topo, alpha=alpha, phase_seed=3)
+    cfg = SimConfig(p=100.0, hc_cluster_exponent=x)
+    members, frame = protocols.hc_frame(topo, cfg, alpha)
+    cross = frame.cross()
+    whole = hc_long_range_rates(ch, members, cross, cfg.p)
+    assert whole.shape == (len(cross),) and len(cross) > 5
+    for parts in _partitions(len(cross)):
+        assert sorted(i for part in parts for i in part) == list(range(len(cross)))
+        got = np.empty(len(cross))
+        for part in parts:
+            got[part] = hc_long_range_rates(ch, members, [cross[i] for i in part], cfg.p)
+        assert np.array_equal(got.view(np.uint64), whole.view(np.uint64))
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+def test_cli_hc_row_equals_the_recomposed_estimate_bit_for_bit(cores, capsys, monkeypatch):
+    """``simulate``'s HC rows, from one slice per worker, are the aggregate
+    of ``estimate_hc_single_level`` on the same instance, bit for bit."""
+    from hybridscale import cli
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    assert cli.main(["simulate", "--sizes", "256", "1024", "--seeds", "0", "5",
+                     "--alpha", "2.5", "--beta", "0", "--gamma", "0", "--eta=inf",
+                     "--schemes", "HC", "--hc-cluster-exponent", "0.6",
+                     "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    hc = [(row[1], row[6], row[7]) for row in rows if row[0] == "HC"]
+    assert [(n, seed) for n, seed, _ in hc] == [(256, 0), (256, 5), (1024, 0), (1024, 5)]
+    for n, seed, aggregate in hc:
+        topo, ch, fm = _instance(n, 0.0, 0.0, math.inf, 2.5, seed)
+        cfg = SimConfig(p=100.0, r_bs=fm.r_bs, hc_cluster_exponent=0.6)
+        assert aggregate.hex() == estimate_hc_single_level(
+            topo, ch, cfg).aggregate_throughput.hex()
+
+
 def test_hc_estimate_memory_does_not_grow_with_the_pair_count():
     """2,566 cluster pairs of about 64 x 64 gains at n=4096; their gains
     together would take about 160 MB, the blocks stay a few MB."""
