@@ -16,9 +16,10 @@ thread (``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, is 1), and
 one process otherwise, where BLAS threads would oversubscribe the cores.
 A unit is plain data: it builds its instance, runs, drops the instance
 and sends back only what the rows need.  HC, the costliest scheme, runs
-as one slice per worker, each on every k-th of the cross-cluster pairs;
-the slices send back their pair rates (the first also the clusters'
-scalars), and HC's time sum runs in the caller.  Within one n the pool
+as one slice per worker, each on every k-th of the cross-cluster pairs
+(``protocols.hc_slice``); the slices send back their pair rates (the
+first also the clusters' scalars), and ``protocols.hc_result`` joins them
+and runs HC's time sum in the caller.  Within one n the pool
 takes HC's slices and ISH before the cut bound, MH and IMH.  Rows, checks
 and slopes are put together in serial order, so the output bytes do not
 depend on the worker count.
@@ -62,9 +63,8 @@ from .protocols import (
     NonFiniteRateError,
     SimConfig,
     fit_scaling_exponent,
-    hc_frame,
-    hc_long_range_rates,
     hc_result,
+    hc_slice,
 )
 from .scaling import (
     INF,
@@ -386,17 +386,16 @@ def _plans(opts: dict, p: ScalingPoint, seeds: list[int]):
         if not existed:  # so a run that fails leaves no file behind
             os.remove(path)
     plans = []
-    for n in opts["sizes"]:
-        for seed in seeds:
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    fm = map_finite_n(n, p)
-                cfg = SimConfig(p=opts["power"], r_bs=fm.r_bs,
-                                **{k: opts[k] for k in _SIM_KNOBS if k in opts})
-            except ValueError as exc:  # n < 4, n^eta overflow, tdma_k, bad power
-                return plans, ConfigError(str(exc))
-            plans.append((n, seed, fm, cfg))
+    for n in opts["sizes"]:  # fm and cfg depend on n alone
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                fm = map_finite_n(n, p)
+            cfg = SimConfig(p=opts["power"], r_bs=fm.r_bs,
+                            **{k: opts[k] for k in _SIM_KNOBS if k in opts})
+        except ValueError as exc:  # n < 4, n^eta overflow, tdma_k, bad power
+            return plans, ConfigError(str(exc))
+        plans += [(n, seed, fm, cfg) for seed in seeds]
     return plans, None
 
 
@@ -409,49 +408,37 @@ def _finite(name: str, value: float, plan: tuple) -> float:
     return value
 
 
-def _hc_slice(topo, ch, cfg: SimConfig, part: int, parts: int):
-    """Slice ``part`` of ``parts`` of HC on one instance: the cluster frame
-    (slice 0 only, None from the others), and the long-range rates of every
-    ``parts``-th cross pair from the ``part``-th on, in key order."""
-    members, frame = hc_frame(topo, cfg, ch.alpha)
-    rates = hc_long_range_rates(ch, members, frame.cross()[part::parts], cfg.p)
-    return frame if part == 0 else None, rates
-
-
 def _unit(alpha: float, plan: tuple, name: str, part: int, parts: int):
     """Part ``part`` of ``parts`` of unit ``name`` of the instance ``plan``
     at path-loss exponent ``alpha``: the cut bound ("cut") gives (L1, L2,
     min cut) and a scheme its (aggregate, stage rates), except HC, whose
-    parts are the ``_hc_slice``s that ``_hc_run`` joins.  The unit builds
-    the instance's topology and channel first, so their errors come first,
-    and drops them when it returns, so a process holds one instance at a
-    time.  A min cut or aggregate that is not finite is an error; an
-    overflow on the way warns nothing, because it either ends in that error
-    or does not reach the result."""
+    parts are ``protocols.hc_slice``s, which ``_hc_run`` joins through
+    ``protocols.hc_result``.  The unit builds the instance's topology and
+    channel first, so their errors come first, and drops them when it
+    returns, so a process holds one instance at a time.  A min cut or
+    aggregate that is not finite is an error; a floating-point error on
+    the way (overflow, division by zero, an invalid operation) warns
+    nothing, because it either reaches the result, where it becomes that
+    one-line error, or does not reach it."""
     n, seed, fm, cfg = plan
     topo = generate_topology(TopologyConfig(n=n, m=fm.m, l=fm.l, seed=seed))
     ch = ChannelRealization(topo, alpha=alpha, phase_seed=seed)
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
         if name == "cut":
             b1, b2 = cut_bounds(topo, ch, cfg)
             return b1, b2, _finite("MIN_CUT", min(b1.total, b2.total), plan)
         if name == "HC":
-            return _hc_slice(topo, ch, cfg, part, parts)
+            return hc_slice(topo, ch, cfg, part, parts)
         res = _RUNNERS[name](topo, ch, cfg)
     return _finite(name, res.aggregate_throughput, plan), res.stage_rates
 
 
 def _hc_run(plan: tuple, slices: list):
-    """HC's (aggregate, stage rates) on the instance ``plan`` from the
-    results of its slices, in part order: their rates are put back in key
-    order and the time sum runs on the frame alone, with no instance."""
+    """HC's (aggregate, stage rates) on the instance ``plan``: ``hc_result``
+    of its slices' results, in part order, with no instance."""
     n, _, _, cfg = plan
-    frame = slices[0][0]
-    r2 = np.empty(sum(len(rates) for _, rates in slices))
-    for part, (_, rates) in enumerate(slices):
-        r2[part::len(slices)] = rates
     with np.errstate(over="ignore"):
-        res = hc_result(n, frame, r2, cfg.hc_quant_bits)
+        res = hc_result(n, slices, cfg.hc_quant_bits)
     return _finite("HC", res.aggregate_throughput, plan), res.stage_rates
 
 

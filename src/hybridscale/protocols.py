@@ -17,7 +17,8 @@ power P, per-BS power nP/m.  Schemes:
          a list of cluster pairs are evaluated together: sorted by shape,
          their gains built in blocks of pairs, one stacked slogdet per run
          of equal shape.  A pair's rate does not depend on the pairs it is
-         evaluated with, so the list may be split into slices.
+         evaluated with, so ``hc_slice`` may rate every k-th cross pair
+         and ``hc_result`` join k such slices in key order.
 
 MH and both IMH radio stages share one multihop kernel on a g x g grid of
 routing cells.  Routing contract: a route is a pure function of the instance
@@ -390,8 +391,10 @@ def _sic_rates(h: np.ndarray, noise_inv: np.ndarray,
             mh = minv @ col
             quad = (np.conj(col).transpose(0, 2, 1) @ mh)[:, 0, 0].real
             snr = 1.0 + pb * quad
-            # math.log2 on purpose: numpy's vector log2 can differ in the last bit
-            rates[cells, i] = [math.log2(x) for x in snr.tolist()]
+            # math.log2 on purpose: numpy's vector log2 can differ in the last
+            # bit; a SINR that rounding left at or below 0 gives a nan rate
+            rates[cells, i] = [math.log2(x) if x > 0.0 else math.nan
+                               for x in snr.tolist()]
             # fold user i into the interference for users decoded before it
             outer = mh * np.conj(mh).transpose(0, 2, 1)
             outer *= (pb / snr)[:, None, None]
@@ -535,10 +538,20 @@ def hc_frame(topo: Topology, cfg: SimConfig, alpha: float) -> tuple[list, HcFram
     return members, HcFrame(pairs, flows, count, np.array(nn_rate))
 
 
-def hc_result(n: int, frame: HcFrame, long_range: np.ndarray,
-              quant_bits: int) -> SimResult:
-    """HC's estimate from its frame and the rates ``long_range`` (R2) of the
-    frame's cross pairs, in the order of ``frame.cross()``.
+def hc_slice(topo: Topology, ch: ChannelRealization, cfg: SimConfig,
+             part: int = 0, parts: int = 1) -> tuple[HcFrame | None, np.ndarray]:
+    """Slice ``part`` of ``parts`` of HC on one instance: the cluster frame
+    (slice 0 only, None from the others), and the R2 of every ``parts``-th
+    cross pair from the ``part``-th on, in key order."""
+    members, frame = hc_frame(topo, cfg, ch.alpha)
+    rates = hc_long_range_rates(ch, members, frame.cross()[part::parts], cfg.p)
+    return frame if part == 0 else None, rates
+
+
+def hc_result(n: int, slices: list, quant_bits: int) -> SimResult:
+    """HC's estimate from the results of its ``hc_slice``s, in part order:
+    the first one's frame, and the R2 of the frame's cross pairs, put back
+    in the order of ``frame.cross()``.
 
     For each ordered cluster pair carrying f flows the cycle time adds
     f/r_A (intra-source-cluster exchange) + f/R2 (long-range MIMO) +
@@ -550,6 +563,10 @@ def hc_result(n: int, frame: HcFrame, long_range: np.ndarray,
     def slot_time(bits: float, rate: float) -> float:
         return bits / rate if rate > 0.0 else math.inf
 
+    frame = slices[0][0]
+    long_range = np.empty(sum(len(rates) for _, rates in slices))
+    for part, (_, rates) in enumerate(slices):
+        long_range[part::len(slices)] = rates
     r2s = iter(long_range.tolist())
     sizes, nn_rate = frame.sizes.tolist(), frame.nn_rate.tolist()
     total_time = 0.0
@@ -572,19 +589,11 @@ def hc_result(n: int, frame: HcFrame, long_range: np.ndarray,
 def estimate_hc_single_level(
     topo: Topology, ch: ChannelRealization, cfg: SimConfig
 ) -> SimResult:
-    """One-level hierarchical-cooperation throughput estimate.
-
-    The composition of three pieces: the cluster frame (``hc_frame``), the
-    R2 of every cross-cluster pair from one ``hc_long_range_rates`` call
-    (blocks of pairs sorted by shape, one stacked slogdet per run of equal
-    shape), and the time sum in the sorted order of the pair keys
-    (``hc_result``).  ``simulate`` composes the same pieces, with the
-    cross pairs split into strided slices, one ``hc_long_range_rates`` call
-    each; a pair's rate does not depend on the pairs it is computed with.
-    """
-    members, frame = hc_frame(topo, cfg, ch.alpha)
-    r2 = hc_long_range_rates(ch, members, frame.cross(), cfg.p)
-    return hc_result(topo.n, frame, r2, cfg.hc_quant_bits)
+    """One-level hierarchical-cooperation throughput estimate: ``hc_result``
+    of one ``hc_slice``.  ``simulate`` runs the same composition with one
+    slice per worker; a pair's rate does not depend on the pairs it is
+    computed with, so the bytes do not depend on the slice count."""
+    return hc_result(topo.n, [hc_slice(topo, ch, cfg)], cfg.hc_quant_bits)
 
 
 # ---------------------------------------------------------------------------

@@ -729,7 +729,7 @@ def test_first_error_in_serial_order_is_reported(capsys, monkeypatch, cores,
         raise ZeroDistanceError(f"n={topo.n} seed={topo.config.seed}")
 
     if hc_fails:
-        monkeypatch.setattr(cli, "_hc_slice", fail)
+        monkeypatch.setattr(cli, "hc_slice", fail)
     _cores(monkeypatch, cores)
     argv = list(_POOL_RUN)
     argv[3] = sizes
@@ -747,7 +747,7 @@ def test_unbuildable_instance_fails_in_serial_order(capsys, monkeypatch, cores,
     builds it, and its first unit fails first, so its error comes after
     those of the instances before it and before those of the instances
     after it.  HC fails in its last slice, which the pool takes early."""
-    real_topology, real_slice = cli.generate_topology, cli._hc_slice
+    real_topology, real_slice = cli.generate_topology, cli.hc_slice
 
     def generate(config):
         if (config.n, config.seed) == (256, 1):
@@ -760,7 +760,7 @@ def test_unbuildable_instance_fails_in_serial_order(capsys, monkeypatch, cores,
         return real_slice(topo, ch, cfg, part, parts)
 
     monkeypatch.setattr(cli, "generate_topology", generate)
-    monkeypatch.setattr(cli, "_hc_slice", hc)
+    monkeypatch.setattr(cli, "hc_slice", hc)
     _cores(monkeypatch, cores)
     assert _run(capsys, _POOL_RUN) == (2, "", f"error: {err}\n")
 
@@ -776,7 +776,7 @@ def test_hc_slice_fails_before_a_later_instance_does(capsys, monkeypatch, cores,
     which the pool runs first) both fail.  HC's last slice raises, or its
     slices' rates make HC's aggregate inf, which only the join of the
     slices finds; either way HC's error is the one reported."""
-    real_slice, real_mh = cli._hc_slice, cli._RUNNERS["MH"]
+    real_slice, real_mh = cli.hc_slice, cli._RUNNERS["MH"]
 
     def hc(topo, ch, cfg, part, parts):
         frame, rates = real_slice(topo, ch, cfg, part, parts)
@@ -796,7 +796,7 @@ def test_hc_slice_fails_before_a_later_instance_does(capsys, monkeypatch, cores,
             raise ZeroDistanceError(f"MH at n={topo.n}")
         return real_mh(topo, ch, cfg)
 
-    monkeypatch.setattr(cli, "_hc_slice", hc)
+    monkeypatch.setattr(cli, "hc_slice", hc)
     monkeypatch.setitem(cli._RUNNERS, "MH", mh)
     _cores(monkeypatch, cores)
     assert _run(capsys, _POOL_RUN) == (2, "", f"error: {err}\n")
@@ -933,6 +933,21 @@ def test_overflowing_cut_is_one_line_error(capsys, monkeypatch, cores):
     _cores(monkeypatch, cores)
     assert _run(capsys, _OVERFLOW) == (
         2, "", "error: MIN_CUT is inf at n=64 seed=0, power 1e+308; "
+               "a rate must be finite\n")
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("power", [1e14, 1e18, 1e300])
+def test_extreme_power_is_one_line_error(capsys, monkeypatch, cores, power):
+    """At high power ISH's SIC downdates and its downlink noise boost lose
+    their precision, so a SINR comes out 0 or less, or a division by zero
+    gives nan.  The nan rate is one line on stderr, with no traceback and
+    no numpy warning, in one process and in the pool's workers."""
+    _cores(monkeypatch, cores)
+    argv = ["simulate", "--sizes", "64", "--seeds", "0", "--alpha", "3", "--beta", "0",
+            "--gamma", "0", "--eta=inf", "--power", repr(power)]
+    assert _run(capsys, argv) == (
+        2, "", f"error: ISH is nan at n=64 seed=0, power {power!r}; "
                "a rate must be finite\n")
 
 

@@ -503,6 +503,27 @@ def test_cli_hc_row_equals_the_recomposed_estimate_bit_for_bit(cores, capsys, mo
             topo, ch, cfg).aggregate_throughput.hex()
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 13])
+@pytest.mark.parametrize("n, alpha", [
+    (4, 3.0),     # one cluster: no cross pair, so every slice is empty
+    (16, 3.0),    # four clusters: at most 12 cross pairs, fewer than 13 slices
+    *((n, alpha) for n in (512, 1024) for alpha in (2.5, 3.0)),
+])
+def test_hc_result_joins_any_slice_count_into_the_estimate_bit_for_bit(n, alpha, k):
+    """``hc_result`` of ``k`` ``hc_slice``s, in part order, is the
+    one-slice ``estimate_hc_single_level``, bit for bit."""
+    topo = generate_topology(TopologyConfig(n=n, seed=n % 7))
+    ch = ChannelRealization(topo, alpha=alpha, phase_seed=3)
+    cfg = SimConfig(p=100.0)
+    slices = [protocols.hc_slice(topo, ch, cfg, i, k) for i in range(k)]
+    cross = slices[0][0].cross()
+    assert [len(rates) for _, rates in slices] == [len(cross[i::k]) for i in range(k)]
+    assert (len(cross) == 0) == (n == 4) and (len(cross) < 13) == (n <= 16)
+    got = protocols.hc_result(n, slices, cfg.hc_quant_bits).aggregate_throughput
+    want = estimate_hc_single_level(topo, ch, cfg).aggregate_throughput
+    assert got.hex() == want.hex()
+
+
 def test_hc_estimate_memory_does_not_grow_with_the_pair_count():
     """2,566 cluster pairs of about 64 x 64 gains at n=4096; their gains
     together would take about 160 MB, the blocks stay a few MB."""
