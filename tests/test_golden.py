@@ -12,9 +12,14 @@ benchmark's sizes n = 1024-4096 with 25-64 BSs split by the midline and a
 finite wired term, and at a regime-D point with up to 144 BSs of 12
 antennas and an infinite wired term; and of the analytic subcommands
 ``regime-map`` (at seven backhaul exponents, among them the label edges
--0.5, 0 and 0.5), ``min-backhaul`` and ``exponent`` (text and JSON, with
-its alpha-breakpoint table, among them one point on a rounded breakpoint and
-one whose capped plateau changes scheme).  A kernel rewrite that changes a
+-0.5, 0 and 0.5, and on a grid with no point inside the simplex, which
+gives the header alone), ``min-backhaul`` and ``exponent`` (text and JSON,
+with its alpha-breakpoint table, among them one point on a rounded
+breakpoint and one whose capped plateau changes scheme).  Every subcommand
+is pinned as JSON too: ``simulate`` with its empty stage cells (null),
+MIN_CUT rows and slopes, ``bound`` with its MIN rows and infinite wired
+terms, ``regime-map``, ``min-backhaul`` with its -inf eta* cells, and
+``exponent``.  A kernel rewrite that changes a
 single floating-point rounding anywhere in MH, HC, IMH, ISH, the cut-set
 bounds, the exponent formulas, the regime labels or the breakpoint table
 fails here.
@@ -96,7 +101,25 @@ CASES = {
                               "--alphas", "2.2", "2.8", "3.5", "6"],
     "regime_map_eta0.7.json": ["regime-map", "--eta", "0.7", *_GRID_12,
                                "--format", "json"],
+    # no grid point lies inside the simplex: the header and no row
+    **{f"regime_map_eta0.2_empty.{fmt}": [
+        "regime-map", "--eta", "0.2", "--beta-grid", "0.96", "0.99", "3",
+        "--gamma-grid", "0.5", "0.9", "3", "--format", fmt,
+    ] for fmt in ("csv", "json")},
     "min_backhaul.csv": ["min-backhaul"],
+    "min_backhaul.json": ["min-backhaul", "--format", "json"],
+    # JSON of a table with null stage cells, MIN_CUT rows and slopes
+    "simulate_a3_b0.5_g0.25_eta-inf.json": [
+        "simulate", *_SIZES_SEEDS,
+        "--alpha", "3", "--beta", "0.5", "--gamma", "0.25", "--eta=-inf",
+        "--format", "json",
+    ],
+    # JSON of MIN rows with null cells, and of an infinite wired term and total
+    "bound_a3_b0.5_g0.25_etainf.json": [
+        "bound", *_SIZES_SEEDS,
+        "--alpha", "3", "--beta", "0.5", "--gamma", "0.25", "--eta=inf",
+        "--format", "json",
+    ],
 }
 
 # exponent prints to stdout only: one point per best scheme, one on a rounded
