@@ -26,7 +26,9 @@ depend on the worker count.
 
 CSV files start with ``# key=value`` comment lines carrying the full
 effective configuration (sorted by key), so re-running the embedded
-configuration reproduces the file byte for byte.  Exit codes: 0 on
+configuration reproduces the file byte for byte.  Every table reaches the
+writer as columns; the grid commands pass their numpy arrays, which are
+formatted with no round trip through Python lists.  Exit codes: 0 on
 success, 1 when a worker process died, 2 for invalid configuration,
 usage or geometry, or a rate or cut that is not finite, 3 when a run
 detects an invariant violation (a simulated aggregate exceeding the
@@ -221,44 +223,47 @@ def _fmt(v) -> str:
 
 
 def _fmt_column(cells) -> list[str]:
-    """``_fmt`` of each cell.  A column of Python floats is formatted once per
-    distinct bit pattern, not per distinct value: 0.0 == -0.0 but their
-    texts differ, and nan != nan.  A column of Python strs is its own text;
-    any other column goes through ``_fmt`` cell by cell."""
-    kinds = set(map(type, cells))
-    if kinds == {str}:
-        return list(cells)
-    if kinds != {float}:
-        return [_fmt(c) for c in cells]
-    bits, where = np.unique(np.array(cells, dtype=float).view(np.int64),
+    """``_fmt`` of each cell of a list or numpy array.  Floats (a float64 array
+    or Python floats) are formatted once per distinct bit pattern, not per
+    distinct value: 0.0 == -0.0 but their texts differ, and nan != nan.  Strs
+    are their own text; other arrays go by ``.tolist()``, other cells by ``_fmt``."""
+    if not isinstance(cells, np.ndarray):
+        kinds = set(map(type, cells))
+        if kinds == {str}:
+            return list(cells)
+        if kinds != {float}:
+            return [_fmt(c) for c in cells]
+    elif cells.dtype != np.float64:  # str labels
+        return _fmt_column(cells.tolist())
+    bits, where = np.unique(np.asarray(cells, dtype=float).view(np.int64),
                             return_inverse=True)
     texts = np.array([float.__repr__(v) for v in bits.view(float).tolist()],
                      dtype=object)
     return texts[where].tolist()
 
 
-def _emit(opts: dict, header: dict, columns, rows, trailers, extra: dict) -> None:
-    """Write one table as CSV (default) or a JSON mirror of the same values.
+def _emit(opts: dict, header: dict, names, columns, trailers, extra: dict) -> None:
+    """Write one table, passed as its columns (lists or numpy arrays) under
+    their ``names``, as CSV (default) or a JSON mirror of the same values.
 
-    The CSV body is formatted column by column (``_fmt_column``): a float
-    cell is its shortest repr, computed once per distinct bit pattern of its
-    column."""
+    The CSV body is formatted column by column (``_fmt_column``), an array
+    with no round trip through Python lists; a JSON row holds Python values."""
     header = dict(header)
     header["schema_version"] = SCHEMA_VERSION
     header["tool"] = f"hybridscale {__version__}"
     if opts["format"] == "json":
+        values = (c.tolist() if isinstance(c, np.ndarray) else c for c in columns)
         payload = {
             "header": {k: header[k] for k in sorted(header)},
-            "columns": list(columns),
-            "rows": [list(r) for r in rows],
+            "columns": list(names),
+            "rows": [list(r) for r in zip(*values)],
             **extra,
         }
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         lines = [f"# {k}={_fmt(header[k])}" for k in sorted(header)]
-        lines.append(",".join(columns))
-        cells = [_fmt_column(col) for col in zip(*rows)]
-        lines.extend(map(",".join, zip(*cells)))
+        lines.append(",".join(names))
+        lines.extend(map(",".join, zip(*map(_fmt_column, columns))))
         lines.extend(trailers)
         text = "\n".join(lines) + "\n"
     if opts["output"]:
@@ -317,11 +322,16 @@ def _cmd_exponent(opts: dict) -> int:
 
 def _sweep(opts: dict) -> tuple[np.ndarray, np.ndarray, dict]:
     """Beta and gamma of the grid points inside the simplex, beta-major, and
-    the grids' header."""
-    beta, gamma = np.meshgrid(_grid(opts["beta_grid"], "beta"),
-                              _grid(opts["gamma_grid"], "gamma"), indexing="ij")
-    inside = ((0.0 <= beta) & (beta < 1.0) & (0.0 <= gamma) & (gamma < 1.0)
-              & (beta + gamma <= 1.0))
+    the grids' header.  A grid too large to allocate is a ``ConfigError``."""
+    try:
+        beta, gamma = np.meshgrid(_grid(opts["beta_grid"], "beta"),
+                                  _grid(opts["gamma_grid"], "gamma"), indexing="ij")
+        inside = ((0.0 <= beta) & (beta < 1.0) & (0.0 <= gamma) & (gamma < 1.0)
+                  & (beta + gamma <= 1.0))
+    except MemoryError:
+        raise ConfigError(
+            f"a beta x gamma grid of {int(opts['beta_grid'][2])} x "
+            f"{int(opts['gamma_grid'][2])} steps does not fit in memory") from None
     grids = {k: " ".join(_fmt(v) for v in opts[k])
              for k in ("beta_grid", "gamma_grid")}
     return beta[inside], gamma[inside], grids
@@ -333,15 +343,13 @@ def _cmd_regime_map(opts: dict) -> int:
         raise ConfigError("reference alphas must be finite and exceed 2")
     beta, gamma, grids = _sweep(opts)
     _check_eta(eta)
-    columns = ["beta", "gamma", "label3d"] + [f"e_alpha_{_fmt(a)}" for a in alphas]
+    names = ["beta", "gamma", "label3d"] + [f"e_alpha_{_fmt(a)}" for a in alphas]
     es = achievable_exponent_grid(np.array(alphas)[None, :], beta[:, None],
-                                  gamma[:, None], eta).tolist()
-    rows = [[b, g, label, *e] for b, g, label, e in
-            zip(beta.tolist(), gamma.tolist(),
-                regime_label_grid(beta, gamma, eta).tolist(), es)]
+                                  gamma[:, None], eta)
     header = {"command": "regime-map", "eta": eta,
               "alphas": " ".join(_fmt(a) for a in alphas), **grids}
-    _emit(opts, header, columns, rows, [], {})
+    _emit(opts, header, names,
+          [beta, gamma, regime_label_grid(beta, gamma, eta), *es.T], [], {})
     return 0
 
 
@@ -350,11 +358,10 @@ def _cmd_min_backhaul(opts: dict) -> int:
     labels = regime_label_grid(beta, gamma, INF)
     eta_star = min_backhaul_exponent_grid(beta, gamma, labels)
     negligible = ~(eta_star > 0.0)  # covers eta* = -inf as well
-    rows = [[b, g, label, e, str(neg).lower()] for b, g, label, e, neg in
-            zip(beta.tolist(), gamma.tolist(), labels.tolist(),
-                eta_star.tolist(), negligible.tolist())]
     _emit(opts, {"command": "min-backhaul", **grids},
-          ["beta", "gamma", "regime", "eta_star", "negligible"], rows, [], {})
+          ["beta", "gamma", "regime", "eta_star", "negligible"],
+          [beta, gamma, labels, eta_star, np.where(negligible, "true", "false")],
+          [], {})
     return 0
 
 
@@ -562,7 +569,7 @@ def _cmd_simulate(opts: dict) -> int:
 
     header = {**_run_header("simulate", p, opts, seeds),
               "schemes": " ".join(schemes), **{k: opts[k] for k in _SIM_KNOBS}}
-    _emit(opts, header, SIM_COLUMNS, rows, trailers, {"slopes": slopes})
+    _emit(opts, header, SIM_COLUMNS, list(zip(*rows)), trailers, {"slopes": slopes})
     if violations:
         print(f"invariant violation: {len(violations)} row(s) exceed the cut-set "
               f"bound: {'; '.join(violations)}", file=sys.stderr)
@@ -581,7 +588,8 @@ def _cmd_bound(opts: dict) -> int:
                                 b.wireless_terms["D2"], b.wireless_terms["D3"],
                                 b.wired_term, b.total])
         rows.append(base + ["MIN", None, None, None, None, cut])
-    _emit(opts, _run_header("bound", p, opts, seeds), BOUND_COLUMNS, rows, [], {})
+    _emit(opts, _run_header("bound", p, opts, seeds), BOUND_COLUMNS,
+          list(zip(*rows)), [], {})
     return 0
 
 

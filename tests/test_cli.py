@@ -465,9 +465,22 @@ _SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 0.1 +
     ["A", "B~", "A"],
     [np.float64(0.5), np.float64(0.5), 0.5],    # repr, not float.__repr__
     [True, 1.0, False],
-], ids=["special", "signed", "stages", "min", "none", "int", "str", "np", "bool"])
+    # numpy columns, as regime-map and min-backhaul pass them
+    np.array(_SPECIAL_FLOATS * 3 + _SPECIAL_FLOATS[::-1]),
+    np.array([-math.nan, math.nan, -0.0, 0.0, -0.0, -5e-324, 5e-324]),
+    # one strided row of es.T, es being regime-map's (points, alphas) array
+    np.array(list(zip(_SPECIAL_FLOATS, _SPECIAL_FLOATS[::-1], _SPECIAL_FLOATS))).T[1],
+    np.array(["A", "B~", "D~", "A", "true"]),
+    np.array([], dtype=float),
+    np.array([], dtype=str),
+], ids=["special", "signed", "stages", "min", "none", "int", "str", "np", "bool",
+        "arr-special", "arr-signed", "arr-strided", "arr-str", "arr-empty-float",
+        "arr-empty-str"])
 def test_column_formatter_matches_per_cell_fmt(cells):
-    assert cli._fmt_column(cells) == [cli._fmt(c) for c in cells]
+    """Each cell as ``_fmt`` gives it, for an array of its ``.tolist()``
+    (Python floats and strs: an ``np.float64`` would reach ``repr``)."""
+    python = cells.tolist() if isinstance(cells, np.ndarray) else cells
+    assert cli._fmt_column(cells) == [cli._fmt(c) for c in python]
 
 
 def test_str_column_is_its_own_text_and_mixed_columns_go_through_fmt(monkeypatch):
@@ -501,7 +514,7 @@ def test_emit_csv_body_matches_per_cell_fmt(capsys):
     for columns, rows in ((cli.SIM_COLUMNS, sim), (cli.BOUND_COLUMNS, bound),
                           (cli.BOUND_COLUMNS, [])):
         cli._emit({"format": "csv", "output": None}, {"command": "test"},
-                  columns, rows, ["# trailer"], {})
+                  columns, list(zip(*rows)), ["# trailer"], {})
         lines = capsys.readouterr().out.splitlines()
         assert lines[-len(rows) - 2] == ",".join(columns)
         assert lines[-len(rows) - 1:] == [",".join(map(cli._fmt, r)) for r in rows] + [
@@ -640,6 +653,21 @@ def test_non_finite_grid_spec_is_one_line_error(tmp_path, capsys, command, grid,
     assert err.startswith(f"error: {grid} grid must be finite, got ")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["regime-map", "min-backhaul"])
+def test_oversized_grid_is_one_line_error(capsys, command):
+    """A 1e7 x 1e7 grid (728 TiB a float array) is refused at its allocation,
+    so no memory is touched; it exits 2 as a bad value, not with a traceback."""
+    argv = [command, "--beta-grid", "0", "0.95", "1e7",
+            "--gamma-grid", "0", "0.95", "1e7"]
+    if command == "regime-map":
+        argv += ["--eta", "0.2"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: a beta x gamma grid of 10000000 x 10000000 "
+                            "steps does not fit in memory\n")
 
 
 def _tracing():
