@@ -200,7 +200,8 @@ def _resolve_seeds(opts: dict) -> list[int]:
     return seeds
 
 
-def _grid(spec, name: str) -> np.ndarray:
+def _grid(spec, name: str) -> tuple[float, float, int]:
+    """The (min, max, steps) of a grid flag, checked."""
     lo, hi, steps = spec
     if not all(map(math.isfinite, spec)):
         raise ConfigError(f"{name} grid must be finite, got {' '.join(map(str, spec))}")
@@ -208,7 +209,7 @@ def _grid(spec, name: str) -> np.ndarray:
         raise ConfigError(f"{name} steps must be a positive integer, got {steps}")
     if hi < lo:
         raise ConfigError(f"{name} grid has max < min")
-    return np.linspace(float(lo), float(hi), int(steps))
+    return float(lo), float(hi), int(steps)
 
 
 def _fmt(v) -> str:
@@ -243,11 +244,9 @@ def _fmt_column(cells) -> list[str]:
 
 
 def _emit(opts: dict, header: dict, names, columns, trailers, extra: dict) -> None:
-    """Write one table, passed as its columns (lists or numpy arrays) under
-    their ``names``, as CSV (default) or a JSON mirror of the same values.
-
-    The CSV body is formatted column by column (``_fmt_column``), an array
-    with no round trip through Python lists; a JSON row holds Python values."""
+    """Write one table, given as its columns (lists or numpy arrays), as CSV
+    (default) or a JSON mirror of the same values.  Each CSV column is
+    formatted whole (``_fmt_column``), an array with no Python list round trip."""
     header = dict(header)
     header["schema_version"] = SCHEMA_VERSION
     header["tool"] = f"hybridscale {__version__}"
@@ -323,15 +322,14 @@ def _cmd_exponent(opts: dict) -> int:
 def _sweep(opts: dict) -> tuple[np.ndarray, np.ndarray, dict]:
     """Beta and gamma of the grid points inside the simplex, beta-major, and
     the grids' header.  A grid too large to allocate is a ``ConfigError``."""
+    b, g = _grid(opts["beta_grid"], "beta"), _grid(opts["gamma_grid"], "gamma")
     try:
-        beta, gamma = np.meshgrid(_grid(opts["beta_grid"], "beta"),
-                                  _grid(opts["gamma_grid"], "gamma"), indexing="ij")
+        beta, gamma = np.meshgrid(np.linspace(*b), np.linspace(*g), indexing="ij")
         inside = ((0.0 <= beta) & (beta < 1.0) & (0.0 <= gamma) & (gamma < 1.0)
                   & (beta + gamma <= 1.0))
     except MemoryError:
-        raise ConfigError(
-            f"a beta x gamma grid of {int(opts['beta_grid'][2])} x "
-            f"{int(opts['gamma_grid'][2])} steps does not fit in memory") from None
+        raise ConfigError(f"a beta x gamma grid of {b[2]} x {g[2]} steps "
+                          "does not fit in memory") from None
     grids = {k: " ".join(_fmt(v) for v in opts[k])
              for k in ("beta_grid", "gamma_grid")}
     return beta[inside], gamma[inside], grids

@@ -656,18 +656,24 @@ def test_non_finite_grid_spec_is_one_line_error(tmp_path, capsys, command, grid,
 
 
 @pytest.mark.parametrize("command", ["regime-map", "min-backhaul"])
-def test_oversized_grid_is_one_line_error(capsys, command):
-    """A 1e7 x 1e7 grid (728 TiB a float array) is refused at its allocation,
-    so no memory is touched; it exits 2 as a bad value, not with a traceback."""
-    argv = [command, "--beta-grid", "0", "0.95", "1e7",
-            "--gamma-grid", "0", "0.95", "1e7"]
+@pytest.mark.parametrize("steps, err", [
+    # the 728 TiB meshgrid is refused at its allocation, past the two 80 MB axes
+    (("1e7", "1e7"), "a beta x gamma grid of 10000000 x 10000000 steps "
+                     "does not fit in memory"),
+    # both specs are checked before either axis is allocated
+    (("1e12", "nan"), "gamma grid must be finite, got 0.0 0.95 nan"),
+], ids=["1e7x1e7", "1e12xnan"])
+def test_oversized_grid_is_one_line_error(capsys, command, steps, err):
+    """A grid too large to allocate exits 2 as a bad value, not with a
+    traceback and exit 1."""
+    argv = [command, "--beta-grid", "0", "0.95", steps[0],
+            "--gamma-grid", "0", "0.95", steps[1]]
     if command == "regime-map":
         argv += ["--eta", "0.2"]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: a beta x gamma grid of 10000000 x 10000000 "
-                            "steps does not fit in memory\n")
+    assert captured.err == f"error: {err}\n"
 
 
 def _tracing():
