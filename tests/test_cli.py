@@ -477,8 +477,8 @@ _SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 0.1 +
         "arr-special", "arr-signed", "arr-strided", "arr-str", "arr-empty-float",
         "arr-empty-str"])
 def test_column_formatter_matches_per_cell_fmt(cells):
-    """Each cell as ``_fmt`` gives it, for an array of its ``.tolist()``
-    (Python floats and strs: an ``np.float64`` would reach ``repr``)."""
+    """An array is compared with ``_fmt`` of its ``.tolist()``, Python floats
+    and strs: ``_fmt`` of an ``np.float64`` is numpy's repr, not the cell text."""
     python = cells.tolist() if isinstance(cells, np.ndarray) else cells
     assert cli._fmt_column(cells) == [cli._fmt(c) for c in python]
 
