@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import _KIND_DOWNLINK, _KIND_UPLINK, ChannelRealization, _U, _distances, _hash
+from .channel import _KIND_DOWNLINK, ChannelRealization, _U, _distances, _hash
 from .scaling import SCHEME_CODES
 from .topology import Topology, grid_cell
 
@@ -420,25 +420,27 @@ def simulate_ish(topo: Topology, ch: ChannelRealization, cfg: SimConfig) -> SimR
     noise_inv = np.empty((m, l, l), dtype=complex)
 
     # one pass over the BSs: each BS's distances to every node give both its
-    # uplink gains and its term of the downlink noise boost, the power
-    # received from every foreign BS (summed over all BSs before each
-    # node's own BS is taken out again)
-    nu, own_term = np.ones(n), np.empty(n)
+    # uplink gains and its term of the downlink noise boost nu, the power
+    # received from every foreign BS; the per-BS arrays live in buffers
+    # allocated once
+    nu = np.ones(n)
     own_dists = np.empty((n, l))
     all_nodes = np.arange(n)
-    for b in range(m):
-        dists = ch.antenna_distances(b, all_nodes)         # (n, l)
-        term = (bs_power / l) * np.sum(dists ** (-ch.alpha), axis=1)
-        nu += term
+    received, term = np.empty((n, l)), np.empty(n)
+    h_out, h_out_conj = np.empty((n, l), dtype=complex), np.empty((n, l), dtype=complex)
+    for b, dists, h in ch._uplinks(all_nodes):                    # (n, l) each
         own = home == b
-        own_term[own] = term[own]
+        np.power(dists, -ch.alpha, out=received)
+        np.sum(received, axis=1, out=term)
+        term *= bs_power / l
+        term[own] = 0.0  # a node's own BS adds no noise, so nu keeps its 1
+        nu += term
         own_dists[own] = dists[own]
-        h = ch._link(_KIND_UPLINK, b, all_nodes, dists)    # (n, l)
-        h_out = h[~own].T                                  # (l, n-k)
-        noise = np.eye(l) + p * (h_out @ h_out.conj().T)
+        k = n - count[b]
+        foreign = np.compress(~own, h, axis=0, out=h_out[:k])          # (n-k, l)
+        noise = np.eye(l) + p * (foreign.T @ np.conjugate(foreign, out=h_out_conj[:k]))
         noise_inv[b] = np.linalg.inv(noise)
         up[b, :, col[own]] = h[own]
-    nu -= own_term
     r_up = _sic_rates(up, noise_inv, p)[home, col]
 
     # downlink by duality: equal dual powers, per-user noise nu folded

@@ -9,13 +9,14 @@ blocked and tensor-free kernels in ``channel`` and ``cutset`` must equal
 bit for bit, and the per-cut builder over them, which puts each destination
 in its D1/D2/D3 group from its position and owning BS alone
 (``group_masks``), is what the one-pass ``cutset.cut_bounds`` must equal
-byte for byte; the exp gain form and the per-cell MMSE-SIC loop are the
-ones that ``channel.path_gains`` and the stacked ``protocols._sic_rates``
-must equal bit for bit, and the one-pair gain matrix and 2-D
+byte for byte; the per-cell MMSE-SIC loop is what the stacked
+``protocols._sic_rates`` must equal bit for bit, and the one-pair gain
+matrix (``channel.path_gains`` of the pair's distances and hashes) and 2-D
 log-determinant are what the blocked ``channel.node_gain_blocks`` and the
 stacked ``protocols.hc_long_range_rates`` must equal bit for bit.  The
-log-det sum capacity is what the rates of one ``_sic_rates`` cell must add
-up to.
+gain kernel itself has no bit-level oracle: ``tests/test_channel.py``
+holds it to an exact exp(j*2*pi*u) within a few eps.  The log-det sum
+capacity is what the rates of one ``_sic_rates`` cell must add up to.
 """
 
 import math
@@ -26,7 +27,7 @@ from hybridscale.channel import (
     _KIND_NODE,
     ZeroDistanceError,
     _distances,
-    _phase,
+    _hash,
     path_gains,
 )
 from hybridscale.cutset import _GROUPS, CutBound
@@ -194,11 +195,6 @@ def per_cut_bounds(topo, ch, cfg):
     return l1, l2
 
 
-def exp_gains(r, theta, alpha):
-    """Complex gains in the one-line form exp(j*theta) * r^(-alpha/2)."""
-    return np.exp(1j * theta) * r ** (-alpha / 2.0)
-
-
 def per_cell_sic_rates(h_cell, noise_inv, power):
     """MMSE-SIC rates of one (l, k) cell, one rank-1 update per user."""
     kk = h_cell.shape[1]
@@ -227,8 +223,8 @@ def pair_gain_matrix(ch, tx, rx):
     r = _distances(pos[rx], pos[tx])
     if np.any(r == 0.0):
         raise ZeroDistanceError("coincident endpoints give an infinite gain")
-    theta = _phase(ch.phase_seed, _KIND_NODE, tx[None, :], rx[:, None])
-    return path_gains(r, theta, ch.alpha)
+    h = _hash(ch.phase_seed, _KIND_NODE, tx[None, :], rx[:, None])
+    return path_gains(r, h, ch.alpha)
 
 
 def pair_long_range_rate(ch, tx, rx, power):

@@ -1,7 +1,10 @@
 """Tests for the phase-only path-loss channel."""
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from hybridscale.channel import (
@@ -12,11 +15,12 @@ from hybridscale.channel import (
     ChannelRealization,
     ZeroDistanceError,
     _distances,
-    _phase,
+    _hash,
+    path_gains,
 )
 from hybridscale.topology import Topology, TopologyConfig, generate_topology
 
-from oracles import dense_distances, exp_gains, pair_gain_matrix
+from oracles import dense_distances, pair_gain_matrix
 from test_topology import _manual_topology
 
 
@@ -81,15 +85,16 @@ def test_gain_blocks_equal_per_pair_matrices_bit_for_bit():
     # the first two pairs fill a block each exactly, the third (40000
     # entries) is larger than a block and the last three share one
     pairs = [(0, 1), (1, 0), (2, 3), (4, 5), (5, 6), (6, 4)]
-    blocks = list(ch.node_gain_blocks(groups, pairs))
-    assert [(i, j) for i, j, _ in blocks] == [(0, 1), (1, 2), (2, 3), (3, 6)]
-    for i, j, gains in blocks:
+    spans = []
+    for i, j, gains in ch.node_gain_blocks(groups, pairs):  # each lives until the next
+        spans.append((i, j))
         o = 0
         for a, b in pairs[i:j]:
             want = pair_gain_matrix(ch, groups[a], groups[b])
             assert _same_bits(gains[o : o + want.size].reshape(want.shape), want)
             o += want.size
         assert o == gains.size
+    assert spans == [(0, 1), (1, 2), (2, 3), (3, 6)]
     assert list(ch.node_gain_blocks(groups, [])) == []
 
 
@@ -156,25 +161,68 @@ def _same_bits(a, b):
 
 @pytest.mark.parametrize("alpha", [2.2, 3.0, 4.0, 6.0])
 @pytest.mark.parametrize("seed", [0, 5])
-def test_gain_kernel_equals_exp_form_bit_for_bit(alpha, seed):
+def test_every_gain_path_equals_the_kernel_bit_for_bit(alpha, seed):
     t = generate_topology(TopologyConfig(n=600, m=9, l=7, seed=seed))
     ch = ChannelRealization(t, alpha, phase_seed=seed + 1)
     pos, nodes, ant = t.node_positions, np.arange(t.n), np.arange(t.l)
     tx, rx = nodes[::3], nodes[1::3]
-    theta = _phase(ch.phase_seed, _KIND_NODE, tx[None, :], rx[:, None])
-    want = exp_gains(_distances(pos[rx], pos[tx]), theta, alpha)
+    h = _hash(ch.phase_seed, _KIND_NODE, tx[None, :], rx[:, None])
+    want = path_gains(_distances(pos[rx], pos[tx]), h, alpha)
     assert _same_bits(ch.node_gain_matrix(tx, rx), want)
-    # the scalar gain takes its power of r in Python, as the scalar exp form does
     for i, k in zip(tx[:50].tolist(), rx[:50].tolist()):
         r = float(np.linalg.norm(pos[k] - pos[i]))
-        theta = float(_phase(ch.phase_seed, _KIND_NODE, i, k))
-        assert _same_bits(np.array([ch.node_gain(i, k)]), exp_gains(r, theta, alpha))
+        want = path_gains(r, _hash(ch.phase_seed, _KIND_NODE, i, k), alpha)
+        assert _same_bits(np.array([ch.node_gain(i, k)]), want.reshape(1))
+    uplinks = ch._uplinks(nodes)
     for b in range(t.m):
         r = ch.antenna_distances(b, nodes)
         for kind, got in ((_KIND_UPLINK, ch.uplink_matrix(b, nodes).T),
                           (_KIND_DOWNLINK, ch.downlink_matrix(b, nodes))):
-            theta = _phase(ch.phase_seed, kind, nodes[:, None], b, ant[None, :])
-            assert _same_bits(got, exp_gains(r, theta, alpha))
+            h = _hash(ch.phase_seed, kind, nodes[:, None], b, ant[None, :])
+            assert _same_bits(got, path_gains(r, h, alpha))
+        # ISH's pass over the BSs, with the node stage of the hash hoisted
+        bs, dists, gains = next(uplinks)
+        assert bs == b and _same_bits(dists, r)
+        assert _same_bits(gains, ch.uplink_matrix(b, nodes).T)
+    assert next(uplinks, None) is None
+
+
+_EPS = np.finfo(float).eps
+_HASHES = st.integers(0, 2**64 - 1)
+# the lowest and highest hash of a table bin: u on either edge of the bin
+_BIN_EDGES = st.builds(lambda k, top: (k << 52) | ((1 << 52) - 1 if top else 0),
+                       st.integers(0, 4095), st.booleans())
+
+
+@given(st.lists(st.one_of(_HASHES, _BIN_EDGES), min_size=1, max_size=64),
+       st.floats(0.01, 1e4), st.floats(0.5, 8.0))
+@example([0, 2**64 - 1, 1 << 52, (1 << 52) - 1, 2**63], 1.0, 3.0)
+@example(list(range(1 << 51, 2**64, 1 << 52)), 1.0, 3.0)  # every bin centre: x = 0
+@settings(max_examples=200, deadline=None)
+def test_gain_kernel_is_within_4_eps_of_the_exact_phasor(hashes, r, alpha):
+    """|g - r^(-alpha/2) exp(j*2*pi*u)| <= 4 eps r^(-alpha/2), u = (h >> 11) 2^-53,
+    against mpmath's exact phasor and power."""
+    got = path_gains(np.full(len(hashes), r), np.array(hashes, dtype=np.uint64), alpha)
+    with mpmath.workprec(113):
+        amp = mpmath.mpf(r) ** (-mpmath.mpf(alpha) / 2)
+        for h, g in zip(hashes, got.tolist()):
+            exact = amp * mpmath.expjpi(2 * mpmath.mpf(h >> 11) / 2**53)
+            assert abs(mpmath.mpc(g.real, g.imag) - exact) <= 4 * _EPS * amp
+
+
+def test_gain_matrices_are_arrays_of_their_own():
+    """A block of ``node_gain_blocks`` is a view that the next block
+    overwrites, so ``node_gain_matrix`` returns a copy: one call's result
+    does not alias the next one's, nor change with it."""
+    t = generate_topology(TopologyConfig(n=64, m=1, l=1, seed=2))
+    ch = ChannelRealization(t, 3.0, phase_seed=4)
+    tx, rx = np.arange(0, 20), np.arange(20, 40)
+    first = ch.node_gain_matrix(tx, rx)
+    kept = first.copy()
+    second = ch.node_gain_matrix(rx, tx)
+    assert first.flags.owndata and second.flags.owndata
+    assert not np.shares_memory(first, second)
+    assert _same_bits(first, kept) and not _same_bits(first, second)
 
 
 @pytest.mark.parametrize("n_rows, n_cols", [(0, 0), (0, 7), (7, 0), (1, 1), (37, 53)])

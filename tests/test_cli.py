@@ -971,18 +971,34 @@ def test_overflowing_cut_is_one_line_error(capsys, monkeypatch, cores):
 
 
 @pytest.mark.parametrize("cores", [1, 2])
-@pytest.mark.parametrize("power", [1e14, 1e18, 1e300])
+@pytest.mark.parametrize("power", [1e18, 1e300])
 def test_extreme_power_is_one_line_error(capsys, monkeypatch, cores, power):
-    """At high power ISH's SIC downdates and its downlink noise boost lose
-    their precision, so a SINR comes out 0 or less, or a division by zero
-    gives nan.  The nan rate is one line on stderr, with no traceback and
-    no numpy warning, in one process and in the pool's workers."""
+    """At high power ISH's SIC downdates lose their precision, so a SINR
+    comes out 0 or less and its rate nan.  The nan rate is one line on
+    stderr, with no traceback and no numpy warning, in one process and in
+    the pool's workers."""
     _cores(monkeypatch, cores)
     argv = ["simulate", "--sizes", "64", "--seeds", "0", "--alpha", "3", "--beta", "0",
             "--gamma", "0", "--eta=inf", "--power", repr(power)]
     assert _run(capsys, argv) == (
         2, "", f"error: ISH is nan at n=64 seed=0, power {power!r}; "
                "a rate must be finite\n")
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_ish_noise_boost_keeps_its_one_at_high_power(capsys, monkeypatch, cores):
+    """With one BS, ISH's downlink noise boost is 1 plus no foreign power.
+    Built as 1 plus every BS's term minus the node's own, it lost the 1 once
+    the own term passed 2^53 (5.5e16 at n=64, p=1e14) and divided by zero."""
+    _cores(monkeypatch, cores)
+    argv = ["simulate", "--sizes", "64", "128", "256", "--seeds", "0", "--alpha", "3",
+            "--beta", "0", "--gamma", "0", "--eta=inf", "--schemes", "ISH",
+            "--power", "1e14", "--format", "json"]
+    rc, out, err = _run(capsys, argv)
+    assert (rc, err) == (0, "")
+    rows = [row for row in json.loads(out)["rows"] if row[0] == "ISH"]
+    assert [row[1] for row in rows] == [64, 128, 256]
+    assert all(math.isfinite(x) and x > 0.0 for row in rows for x in row[7:])
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridscale import protocols
+from hybridscale import channel, protocols
 from hybridscale.channel import ChannelRealization, ZeroDistanceError
 from hybridscale.protocols import (
     RUNNERS,
@@ -479,6 +479,25 @@ def test_hc_long_range_rates_of_any_partition_reassemble_bit_for_bit(n, alpha, x
         for part in parts:
             got[part] = hc_long_range_rates(ch, members, [cross[i] for i in part], cfg.p)
         assert np.array_equal(got.view(np.uint64), whole.view(np.uint64))
+
+
+@pytest.mark.parametrize("n, x", [(1024, 0.5), (256, 0.3)])
+def test_hc_rates_do_not_depend_on_the_gain_block_size(n, x, monkeypatch):
+    """With 64-entry gain blocks each pair of about 28 x 28 nodes (x = 0.5)
+    fills a block alone and the pairs of about 5 x 5 (x = 0.3) share one,
+    so the one set of buffers is rewritten block after block; the rates and
+    the estimate keep their bits."""
+    topo = generate_topology(TopologyConfig(n=n, seed=1))
+    ch = ChannelRealization(topo, alpha=2.8, phase_seed=2)
+    cfg = SimConfig(p=100.0, hc_cluster_exponent=x)
+    members, frame = protocols.hc_frame(topo, cfg, ch.alpha)
+    cross = frame.cross()
+    whole = hc_long_range_rates(ch, members, cross, cfg.p)
+    want = estimate_hc_single_level(topo, ch, cfg).aggregate_throughput
+    monkeypatch.setattr(channel, "_GAIN_BLOCK", 64)
+    got = hc_long_range_rates(ch, members, cross, cfg.p)
+    assert np.array_equal(got.view(np.uint64), whole.view(np.uint64))
+    assert estimate_hc_single_level(topo, ch, cfg).aggregate_throughput.hex() == want.hex()
 
 
 @pytest.mark.parametrize("cores", [1, 3])
