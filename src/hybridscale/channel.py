@@ -149,7 +149,8 @@ def path_gains(r: np.ndarray, h: np.ndarray, alpha: float,
     c, s, x, q, t = buffers.real[:, :size]
     bits = buffers.bits[:size]
     out = buffers.out[:size]
-    # the bin's phasor c + j s, times the amplitude
+    # the bin's phasor c + j s, times the amplitude; every index is below
+    # 4096, and "clip" takes with no buffered bounds check
     np.right_shift(h, _U(64 - _BIN_BITS), out=bits)
     np.take(_BIN_COS, bits.view(np.int64), out=c, mode="clip")
     np.take(_BIN_SIN, bits.view(np.int64), out=s, mode="clip")
