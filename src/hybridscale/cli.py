@@ -243,22 +243,30 @@ def _fmt_column(cells) -> list[str]:
     return texts[where].tolist()
 
 
+def _json_column(cells) -> list[str]:
+    """``json.dumps`` text of each cell of a list or numpy array, from one call
+    of the C encoder: with no indent it joins the items with the separator
+    given, and a newline never occurs inside an encoded scalar."""
+    cells = cells.tolist() if isinstance(cells, np.ndarray) else list(cells)
+    return json.dumps(cells, separators=("\n", ":"))[1:-1].split("\n") if cells else []
+
+
 def _emit(opts: dict, header: dict, names, columns, trailers, extra: dict) -> None:
     """Write one table, given as its columns (lists or numpy arrays), as CSV
     (default) or a JSON mirror of the same values.  Each CSV column is
-    formatted whole (``_fmt_column``), an array with no Python list round trip."""
+    formatted whole (``_fmt_column``), an array with no Python list round trip;
+    each JSON column is encoded whole (``_json_column``) and its cells are laid
+    out as ``json.dumps(..., indent=2)`` would."""
     header = dict(header)
     header["schema_version"] = SCHEMA_VERSION
     header["tool"] = f"hybridscale {__version__}"
     if opts["format"] == "json":
-        values = (c.tolist() if isinstance(c, np.ndarray) else c for c in columns)
-        payload = {
-            "header": {k: header[k] for k in sorted(header)},
-            "columns": list(names),
-            "rows": [list(r) for r in zip(*values)],
-            **extra,
-        }
+        payload = {"header": header, "columns": list(names), "rows": [], **extra}
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        rows = [",\n      ".join(r) for r in zip(*map(_json_column, columns))]
+        if rows:  # the rows as json.dumps(..., indent=2) lays them out
+            text = text.replace('\n  "rows": []', '\n  "rows": [\n    [\n      '
+                                + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]", 1)
     else:
         lines = [f"# {k}={_fmt(header[k])}" for k in sorted(header)]
         lines.append(",".join(names))
@@ -342,19 +350,18 @@ def _cmd_regime_map(opts: dict) -> int:
     beta, gamma, grids = _sweep(opts)
     _check_eta(eta)
     names = ["beta", "gamma", "label3d"] + [f"e_alpha_{_fmt(a)}" for a in alphas]
-    es = achievable_exponent_grid(np.array(alphas)[None, :], beta[:, None],
-                                  gamma[:, None], eta)
+    es = achievable_exponent_grid(np.array(alphas)[:, None], beta, gamma, eta)
     header = {"command": "regime-map", "eta": eta,
               "alphas": " ".join(_fmt(a) for a in alphas), **grids}
     _emit(opts, header, names,
-          [beta, gamma, regime_label_grid(beta, gamma, eta), *es.T], [], {})
+          [beta, gamma, regime_label_grid(beta, gamma, eta), *es], [], {})
     return 0
 
 
 def _cmd_min_backhaul(opts: dict) -> int:
     beta, gamma, grids = _sweep(opts)
     labels = regime_label_grid(beta, gamma, INF)
-    eta_star = min_backhaul_exponent_grid(beta, gamma, labels)
+    eta_star = min_backhaul_exponent_grid(beta, gamma)
     negligible = ~(eta_star > 0.0)  # covers eta* = -inf as well
     _emit(opts, {"command": "min-backhaul", **grids},
           ["beta", "gamma", "regime", "eta_star", "negligible"],

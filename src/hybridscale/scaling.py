@@ -10,13 +10,19 @@ throughput, and the DoF/infrastructure limitation flags.
 
 Scalar entry points validate their inputs; the ``*_grid`` variants accept
 numpy arrays (broadcast together) and are used for dense sweeps.
+
+Regime labels are computed as integer codes, both labels of a point (eta =
+inf and eta) in one pass, and become text only through a 6-entry table.  A
+report at a query alpha is one pass as well: the alpha samples of its
+breakpoints and the four probe points of its flags are evaluated together,
+by one ``_select`` call.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -32,6 +38,7 @@ SENSITIVITY_DELTA = 1e-6
 #: regime boundaries are attributed to the scheme that is best on the
 #: high-alpha side of the boundary (IMH beats ISH beats MH beats HC).
 SCHEME_CODES = {"HC": 0, "MH": 1, "ISH": 2, "IMH": 3}
+_SCHEMES = tuple(SCHEME_CODES)
 
 
 class InvalidPointError(ValueError):
@@ -46,6 +53,12 @@ def _check_range(beta: float, gamma: float) -> None:
         raise InvalidPointError(f"gamma must lie in [0, 1), got {gamma}")
     if beta + gamma > 1.0:
         raise InvalidPointError(f"beta + gamma must not exceed 1, got {beta} + {gamma}")
+
+
+def _check_alpha(alpha: float) -> None:
+    """Reject alpha <= 2, +-inf and nan."""
+    if not (alpha > 2.0) or math.isinf(alpha) or math.isnan(alpha):
+        raise InvalidPointError(f"alpha must be a finite number > 2, got {alpha}")
 
 
 def _check_eta(eta: float) -> None:
@@ -75,8 +88,7 @@ class ScalingPoint:
     eta: float = INF
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 2.0) or math.isinf(self.alpha) or math.isnan(self.alpha):
-            raise InvalidPointError(f"alpha must be a finite number > 2, got {self.alpha}")
+        _check_alpha(self.alpha)
         _check_range(self.beta, self.gamma)
         _check_eta(self.eta)
 
@@ -114,10 +126,13 @@ def _lines(beta, gamma, eta):
 
 
 def _terms(alpha, beta, gamma, eta):
-    """The six term values as arrays, in ``_lines`` order; inputs broadcast."""
-    alpha, beta, gamma, eta = (np.asarray(v, dtype=float)
-                               for v in (alpha, beta, gamma, eta))
-    return [c - s * alpha for _, c, s in _lines(beta, gamma, eta)]
+    """The six term values stacked on a new first axis, in ``_lines`` order;
+    inputs broadcast.  Every value is c - s*alpha of its line."""
+    alpha = np.asarray(alpha, dtype=float)
+    _, c, s = zip(*_lines(*(np.asarray(v, dtype=float) for v in (beta, gamma, eta))))
+    cs = np.array(np.broadcast_arrays(*c, *s))
+    cs = cs.reshape(2, 6, *(1,) * (alpha.ndim - cs.ndim + 1), *cs.shape[1:])
+    return cs[0] - cs[1] * alpha
 
 
 def scheme_exponents(p: ScalingPoint) -> SchemeExponents:
@@ -143,15 +158,16 @@ def scheme_exponents(p: ScalingPoint) -> SchemeExponents:
 _TERM_SCHEME = np.array([SCHEME_CODES[s] for s in ("HC", "MH", "ISH", "IMH", "IMH")])
 
 
-def _select(alpha, beta, gamma, eta):
+def _select(terms):
     """(exponent, scheme code, term index) of max{min{max{ish_raw, imh_raw},
-    beta+eta}, 1/2, 2-alpha/2}, imh_raw = min{beta+gamma, (1+beta)/2}.
+    beta+eta}, 1/2, 2-alpha/2}, imh_raw = min{beta+gamma, (1+beta)/2}, from
+    the term values stacked as ``_terms`` gives them.
 
     The term is the ``_lines`` entry whose value the exponent is.  On exact
     ties the infrastructure term beats 1/2, which beats 2 - alpha/2; a raw
     term beats the cap; and (1+beta)/2 beats beta+gamma.
     """
-    hc, mh, ish, bg, half, cap = _terms(alpha, beta, gamma, eta)
+    hc, mh, ish, bg, half, cap = terms
     imh = np.minimum(bg, half)
     raw = np.maximum(ish, imh)
     infra = np.minimum(raw, cap)
@@ -169,7 +185,7 @@ def best_scheme_grid(alpha, beta, gamma, eta):
     The infrastructure branch (capped or not) is credited to the scheme with
     the larger raw exponent; exact ties go to the higher SCHEME_CODES code.
     """
-    return _select(alpha, beta, gamma, eta)[:2]
+    return _select(_terms(alpha, beta, gamma, eta))[:2]
 
 
 def achievable_exponent(p: ScalingPoint) -> tuple[float, str]:
@@ -180,7 +196,7 @@ def achievable_exponent(p: ScalingPoint) -> tuple[float, str]:
     value belongs to the scheme that is best just above it in alpha.
     """
     e, code = best_scheme_grid(p.alpha, p.beta, p.gamma, p.eta)
-    return float(e), tuple(SCHEME_CODES)[code]
+    return float(e), _SCHEMES[code]
 
 
 def upper_bound_exponent(p: ScalingPoint) -> float:
@@ -221,6 +237,39 @@ def upper_bound_exponent_grid(alpha, beta, gamma, eta):
 # Operating-regime classification
 # ---------------------------------------------------------------------------
 
+#: Regime label of each regime code; the first four are the eta = inf labels.
+_LABELS = np.array(["A", "B", "C", "D", "B~", "D~"])
+_A, _B, _C, _D, _B_TILDE, _D_TILDE = range(6)
+
+
+def _regime_codes(beta, gamma, eta: float):
+    """(eta = inf code, eta code) of array (beta, gamma) at one scalar eta;
+    the labels are documented at ``regime_label_grid``.  Conditions are
+    nested ``np.where`` calls, so the first that holds wins."""
+    beta, gamma = np.asarray(beta, dtype=float), np.asarray(gamma, dtype=float)
+    ad_hoc = beta + gamma < 0.5
+    narrow = beta + 2.0 * gamma < 1.0
+    d_window = gamma >= 0.5 * (beta * beta - 3.0 * beta + 2.0)
+    code = np.where(ad_hoc, _A, np.where(narrow, _B, np.where(d_window, _D, _C)))
+    if not eta < 1.0:  # eta >= 1, inf (and nan, which callers reject)
+        return code, code
+    if eta < -0.5:
+        # Backhaul so weak that BS-assisted schemes never reach the MH line.
+        return code, np.full(code.shape, _A)
+    # Capped IMH plateau beta+eta; below the MH line it is useless.
+    capped = np.where(beta < 0.5 - eta, _A, _B_TILDE)
+    if eta < 0.0:
+        return code, np.broadcast_to(capped, code.shape)
+    d_tilde = gamma >= beta * beta + (eta - 2.0) * beta + 1.0
+    if eta < 0.5:
+        # the last condition is applied first, so that the first one wins
+        code3d = np.where(~narrow & (beta >= 1.0 - 2.0 * eta) & d_tilde, _D_TILDE, code)
+        code3d = np.where((gamma < eta) & narrow, _B, code3d)
+        code3d = np.where((gamma > eta) & (beta < 1.0 - 2.0 * eta), capped, code3d)
+        return code, np.where(ad_hoc, _A, code3d)
+    return code, np.where(d_tilde, _D_TILDE, code)
+
+
 def regime_label_grid(beta, gamma, eta: float):
     """Regime labels of array (beta, gamma) at one scalar eta, as a str array.
 
@@ -238,34 +287,13 @@ def regime_label_grid(beta, gamma, eta: float):
     line (beta < 1/2 - eta) a capped plateau is useless and labelled A.
     Conditions are tried in order and the first that holds wins.
     """
-    beta, gamma = np.broadcast_arrays(np.asarray(beta, dtype=float),
-                                      np.asarray(gamma, dtype=float))
-    ad_hoc = beta + gamma < 0.5
-    narrow = beta + 2.0 * gamma < 1.0
-    d_window = gamma >= 0.5 * (beta * beta - 3.0 * beta + 2.0)
-    label = np.select([ad_hoc, narrow, d_window], ["A", "B", "D"], "C")
-    if not eta < 1.0:  # eta >= 1, inf (and nan, which callers reject)
-        return label
-    if eta < -0.5:
-        # Backhaul so weak that BS-assisted schemes never reach the MH line.
-        return np.full(label.shape, "A")
-    # Capped IMH plateau beta+eta; below the MH line it is useless.
-    capped = np.where(beta < 0.5 - eta, "A", "B~")
-    if eta < 0.0:
-        return capped
-    d_tilde = gamma >= beta * beta + (eta - 2.0) * beta + 1.0
-    if eta < 0.5:
-        return np.select(
-            [ad_hoc, (gamma > eta) & (beta < 1.0 - 2.0 * eta), (gamma < eta) & narrow,
-             ~narrow & (beta >= 1.0 - 2.0 * eta) & d_tilde],
-            ["A", capped, "B", "D~"], label)
-    return np.where(d_tilde, "D~", label)
+    return _LABELS[_regime_codes(beta, gamma, eta)[1]]
 
 
 def classify_regime_2d(beta: float, gamma: float) -> str:
     """Regime label A/B/C/D for unlimited backhaul (see ``regime_label_grid``)."""
     _check_range(beta, gamma)
-    return regime_label_grid(beta, gamma, INF).item()
+    return _LABELS[_regime_codes(beta, gamma, INF)[0]].item()
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +317,8 @@ class AlphaInterval:
     formula: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"alpha_min": self.alpha_min, "alpha_max": self.alpha_max,
+                "scheme": self.scheme, "formula": self.formula}
 
 
 #: Floats sampled on each side of every crossing of two ``_lines``, and
@@ -297,45 +326,55 @@ class AlphaInterval:
 _NEAR, _SAMPLES = 16, 64
 
 
-def _breakpoints(beta: float, gamma: float, eta: float) -> tuple[AlphaInterval, ...]:
-    """Segments of (2, inf) on which the tree keeps one (scheme, formula).
+def _breakpoints(beta: float, gamma: float, eta: float, alpha: float | None = None):
+    """Segments of (2, inf) on which the tree keeps one (scheme, formula),
+    and, given a query ``alpha``, the exponents at its four probe points
+    (``_probe_lines``) and the scheme code at the first.
 
     The piece can only change near a crossing of two ``_lines``.  The tree
     is evaluated once on every float within ``_NEAR`` of each crossing, on
-    the first alpha > 2, between each two crossings and past the last; a
-    piece change between two samples that are not adjacent floats is
-    narrowed until they are.  Each breakpoint is the first float of its
-    new piece.
+    the first alpha > 2, between each two crossings and past the last, and
+    on the probe points; a piece change between two samples that are not
+    adjacent floats is narrowed until they are.  Each breakpoint is the
+    first float of its new piece.
     """
+    beta, gamma, eta = float(beta), float(gamma), float(eta)
     lines = _lines(beta, gamma, eta)
-    _, c, s = map(np.array, zip(*lines))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        x = np.unique((c[:, None] - c) / (s[:, None] - s))
-        edges = np.append(np.nextafter(2.0, INF), x[(x > 2.0) & np.isfinite(2.0 * x)])
-    near = edges[1:].view(np.int64)[:, None] + np.arange(-_NEAR, _NEAR + 1)
-    alpha = np.sort(np.concatenate([edges, (edges[:-1] + edges[1:]) / 2.0,
-                                    [2.0 * edges[-1]], near.ravel().view(float)]))
-    alpha = alpha[alpha >= edges[0]]
-
-    def pieces(alpha):
-        _, scheme, term = _select(alpha, beta, gamma, eta)
-        return scheme * len(lines) + term
-
-    piece = pieces(alpha)
-    k = np.flatnonzero(piece[1:] != piece[:-1])
+    _, c, s = zip(*lines)
+    # (c_i - c_j)/(s_i - s_j) is the same float for (i, j) and (j, i)
+    x = {(c[i] - c[j]) / (s[i] - s[j])
+         for i in range(len(lines)) for j in range(i) if s[i] != s[j]}
+    edges = [math.nextafter(2.0, INF),
+             *sorted(v for v in x if v > 2.0 and math.isfinite(2.0 * v))]
+    head = np.array([*edges, *((a + b) / 2.0 for a, b in zip(edges, edges[1:])),
+                     2.0 * edges[-1]])
+    near = head[1:len(edges)].view(np.int64)[:, None] + np.arange(-_NEAR, _NEAR + 1)
+    samples = np.sort(np.concatenate([head, near.view(float).ravel()]))
+    samples = samples[samples >= edges[0]]
+    c, s = np.array([c, s])[:, :, None]
+    terms = c - s * samples
+    if alpha is not None:
+        pc, ps = _probe_lines(beta, gamma, eta)
+        terms = np.concatenate([terms, pc - ps * alpha], axis=1)
+    e, scheme, term = _select(terms)
+    piece = (scheme * len(lines) + term)[:samples.size]
+    k = np.nonzero(piece[1:] != piece[:-1])[0]
     # lo never gives the new piece and hi does
-    lo, hi, new = alpha[k], alpha[k + 1], piece[k + 1, None]
-    rows, steps = np.arange(k.size), np.arange(_SAMPLES + 1)
-    while np.any(np.nextafter(lo, INF) != hi):
+    lo, hi, new = samples[k], samples[k + 1], piece[k + 1, None]
+    while (np.nextafter(lo, INF) != hi).any():
+        rows, steps = np.arange(k.size), np.arange(_SAMPLES + 1)
         width = (hi.view(np.int64) - lo.view(np.int64))[:, None] / _SAMPLES
         cand = (lo.view(np.int64)[:, None] + (steps * width).astype(np.int64)).view(float)
         cand[:, -1] = hi
-        first = np.argmax(pieces(cand) == new, axis=1)
+        _, cand_scheme, cand_term = _select(c[..., None] - s[..., None] * cand)
+        first = np.argmax(cand_scheme * len(lines) + cand_term == new, axis=1)
         lo, hi = cand[rows, first - 1], cand[rows, first]
     bounds = [2.0, *hi.tolist(), INF]
-    segs = zip(bounds, bounds[1:], piece[np.append(0, k + 1)].tolist())
-    return tuple(AlphaInterval(a, b, tuple(SCHEME_CODES)[p // len(lines)],
-                               lines[p % len(lines)][0]) for a, b, p in segs)
+    segs = tuple(AlphaInterval(a, b, _SCHEMES[p // len(lines)], lines[p % len(lines)][0])
+                 for a, b, p in zip(bounds, bounds[1:], [int(piece[0]), *new.ravel().tolist()]))
+    if alpha is None:
+        return segs, None
+    return segs, (e[samples.size:].tolist(), int(scheme[samples.size]))
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +385,10 @@ def _breakpoints(beta: float, gamma: float, eta: float) -> tuple[AlphaInterval, 
 class RegimeReport:
     """Classification of an operating point plus its piecewise law in alpha.
 
-    The law (``alpha_breakpoints``) is derived from the stored (beta, gamma,
-    eta) on first read, so callers that only want the labels never build it.
+    Without a query alpha the law (``alpha_breakpoints``) is derived from the
+    stored (beta, gamma, eta) on first read, so callers that only want the
+    labels never build it; ``classify_regime_3d`` at an alpha builds it in
+    the same pass as the exponent and flags.
     """
 
     label2d: str
@@ -362,7 +403,7 @@ class RegimeReport:
 
     @cached_property
     def alpha_breakpoints(self) -> tuple[AlphaInterval, ...]:
-        return _breakpoints(self.beta, self.gamma, self.eta)
+        return _breakpoints(self.beta, self.gamma, self.eta)[0]
 
     def to_dict(self) -> dict:
         return {
@@ -384,16 +425,18 @@ def classify_regime_3d(beta: float, gamma: float, eta: float,
     the report also carries the best scheme, exponent and limitation flags
     at that alpha.
     """
-    label2d = classify_regime_2d(beta, gamma)
+    _check_range(beta, gamma)
     _check_eta(eta)
-    label3d = regime_label_grid(beta, gamma, eta).item()
-    report = RegimeReport(label2d=label2d, label3d=label3d,
-                          beta=beta, gamma=gamma, eta=eta)
+    labels = [_LABELS[code].item() for code in _regime_codes(beta, gamma, eta)]
     if alpha is None:
-        return report
-    e, scheme, flags = _exponent_and_flags(ScalingPoint(alpha, beta, gamma, eta))
-    return replace(report, best_scheme=scheme, exponent=e,
-                   dof_limited=flags.dof_limited, infra_limited=flags.infra_limited)
+        return RegimeReport(*labels, beta, gamma, eta)
+    _check_alpha(alpha)
+    segs, (e, code) = _breakpoints(beta, gamma, eta, alpha)
+    flags = _flags(e, code)
+    report = RegimeReport(*labels, beta, gamma, eta, _SCHEMES[code], e[0],
+                          flags.dof_limited, flags.infra_limited)
+    vars(report)["alpha_breakpoints"] = segs  # the cached_property's slot
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -406,16 +449,17 @@ def min_backhaul_exponent_grid(beta, gamma, label=None):
     Regime A needs no backhaul at all (-inf).  In B the bottleneck is the
     per-BS antenna count (gamma); in C it is the (1-beta)/2 parallel-path
     plateau; in D the ISH segment peaks at alpha = 2(1-gamma)/beta, giving
-    gamma - (1-beta)(1-beta-gamma)/beta.  Regime D needs beta > 0, so the
-    division by zero at beta = 0 is never selected.  ``label`` passes the
+    gamma - (1-beta)(1-beta-gamma)/beta.  Regime D needs beta > 0 (and gamma
+    near 1 at a tiny beta), so the division by zero at beta = 0 and its
+    overflow at a subnormal beta are never selected.  ``label`` passes the
     eta = inf regime labels of (beta, gamma) when the caller has them.
     """
     beta, gamma = np.asarray(beta, dtype=float), np.asarray(gamma, dtype=float)
-    label = regime_label_grid(beta, gamma, INF) if label is None else np.asarray(label)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    code = (_regime_codes(beta, gamma, INF)[0] if label is None
+            else np.searchsorted(_LABELS[:4], label))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         d = gamma - (1.0 - beta) * (1.0 - beta - gamma) / beta
-    return np.select([label == "A", label == "B", label == "C"],
-                     [NEG_INF, gamma, (1.0 - beta) / 2.0], d)
+    return np.choose(code, (NEG_INF, gamma, (1.0 - beta) / 2.0, d))
 
 
 def min_backhaul_exponent(beta: float, gamma: float, label2d: str | None = None) -> float:
@@ -438,21 +482,30 @@ def limitation_flags(p: ScalingPoint) -> LimitationFlags:
     up by SENSITIVITY_DELTA strictly raises the exponent (the probe skips
     validation, so points on the domain edge still get a well-defined flag).
     """
-    return _exponent_and_flags(p)[2]
+    c, s = _probe_lines(p.beta, p.gamma, p.eta)
+    e, code, _ = _select(c - s * p.alpha)
+    return _flags(e.tolist(), int(code[0]))
 
 
-def _exponent_and_flags(p: ScalingPoint) -> tuple[float, str, LimitationFlags]:
-    """Exponent, best scheme and flags at ``p`` from one ``best_scheme_grid``
-    call over four points: ``p`` itself, eta = inf, beta + delta and gamma +
-    delta."""
+def _probe_lines(beta: float, gamma: float, eta: float):
+    """Intercepts and slopes, each (6, 4), of the lines at the four probe
+    points of the flags: the point itself, eta = inf, beta + delta and
+    gamma + delta."""
     d = SENSITIVITY_DELTA
-    e, code = best_scheme_grid(p.alpha, p.beta + np.array([0.0, 0.0, d, 0.0]),
-                               p.gamma + np.array([0.0, 0.0, 0.0, d]),
-                               np.array([p.eta, INF, p.eta, p.eta]))
-    scheme = tuple(SCHEME_CODES)[code[0]]
-    return float(e[0]), scheme, LimitationFlags(
-        dof_limited=scheme in ("ISH", "IMH") and bool(np.any(e[2:] > e[0])),
-        infra_limited=bool(e[0] < e[1]),
+    points = ((beta, gamma, eta), (beta, gamma, INF), (beta + d, gamma, eta),
+              (beta, gamma + d, eta))
+    return np.array([v for q in points for line in _lines(*q)
+                     for v in line[1:]]).reshape(4, 6, 2).T
+
+
+def _flags(e: list[float], code: int) -> LimitationFlags:
+    """Flags from the exponents at the four probe points and the scheme code
+    at the first."""
+    e0, e_inf, e_beta, e_gamma = e
+    return LimitationFlags(
+        dof_limited=(_SCHEMES[code] in ("ISH", "IMH")
+                     and (e_beta > e0 or e_gamma > e0)),
+        infra_limited=e0 < e_inf,
     )
 
 

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,41 @@ def test_min_backhaul_matches_library(tmp_path):
         want = min_backhaul_exponent(float(beta), float(gamma))
         assert float(eta_star) == want
         assert negligible == str(not want > 0.0).lower()
+
+
+def test_subnormal_beta_prints_no_warning(capsys):
+    # eta*'s regime-D value overflows at beta = 5e-324, where it is never
+    # selected; neither command may print a numpy warning there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["exponent", "--alpha", "3", "--beta", "5e-324",
+                         "--gamma", "0.9", "--eta=0.3"]) == 0
+        assert "min_backhaul_exponent: 0.5\n" in capsys.readouterr().out
+        assert cli.main(["min-backhaul", "--beta-grid", "5e-324", "0.5", "2",
+                         "--gamma-grid", "0.9", "0.9", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == "5e-324,0.9,C,0.5,false"
+    assert err == ""
+
+
+@pytest.mark.parametrize("rows", [0, 1, 3])
+def test_json_table_is_what_json_dumps_writes(capsys, rows):
+    # the rows go through the C encoder; the text must be json.dumps' own
+    columns = [np.array([0.1, -0.0, math.inf, -math.inf, math.nan, 1e-300])[:rows],
+               ["A", "quote\" and\nnewline", "\u00e9\t\\"][:rows],
+               [None, True, 7][:rows],
+               np.array(["B~", "D~", "C"])[:rows]]
+    names = ["x", "s", "o", "label"]
+    extra = {"slopes": {"MH": {"slope": 0.5, "stderr": math.nan}}}
+    cli._emit({"format": "json", "output": None}, {"command": "t", "eta": math.inf},
+              names, columns, [], extra)
+    header = {"command": "t", "eta": math.inf, "schema_version": cli.SCHEMA_VERSION,
+              "tool": f"hybridscale {cli.__version__}"}
+    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    want = json.dumps({"header": header, "columns": names,
+                       "rows": [list(r) for r in zip(*values)], **extra},
+                      sort_keys=True, indent=2) + "\n"
+    assert capsys.readouterr().out == want
 
 
 def test_simulate_requires_seeds(capsys):

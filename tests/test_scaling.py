@@ -23,6 +23,8 @@ from hybridscale.scaling import (
     limitation_flags,
     map_finite_n,
     min_backhaul_exponent,
+    min_backhaul_exponent_grid,
+    regime_label_grid,
     scheme_exponents,
     upper_bound_exponent,
     upper_bound_exponent_grid,
@@ -174,21 +176,52 @@ def test_upper_bound_equals_achievable_on_grid():
     assert np.array_equal(np.where(ok, e, 0.0), np.where(ok, ub, 0.0))
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
 def test_grid_matches_scalar():
     rng = np.random.default_rng(7)
     alpha = 2.0 + 6.0 * rng.random(500)
     beta = 0.99 * rng.random(500)
+    beta[::25] = 0.0
     gamma = (1.0 - beta) * rng.random(500) * 0.99
     eta = rng.uniform(-1.5, 1.5, 500)
     eta[:40] = INF
     eta[40:60] = NEG_INF
+    eta[60:160] = np.repeat([-0.5, 0.0, 0.5, 1.0], 25)  # the label edges
     e_grid = achievable_exponent_grid(alpha, beta, gamma, eta)
     _, s_grid = best_scheme_grid(alpha, beta, gamma, eta)
+    eta_star = min_backhaul_exponent_grid(beta, gamma)
+    label2d = regime_label_grid(beta, gamma, INF)
+    reports = []
     for i in range(500):
         p = ScalingPoint(alpha[i], beta[i], gamma[i], eta[i])
         e, scheme = achievable_exponent(p)
         assert e == e_grid[i]
         assert SCHEME_CODES[scheme] == s_grid[i]
+        # the one-pass report against the grid functions, bit for bit
+        report = classify_regime_3d(beta[i], gamma[i], eta[i], alpha[i])
+        reports.append(report)
+        assert report.label2d == label2d[i]
+        assert report.label3d == regime_label_grid(beta, gamma, eta[i])[i]
+        assert _bits(report.exponent) == _bits(e_grid[i])
+        assert report.best_scheme == scheme
+        assert (report.dof_limited, report.infra_limited) == dataclasses.astuple(
+            limitation_flags(p))
+        assert _bits(min_backhaul_exponent(beta[i], gamma[i], report.label2d)) == _bits(
+            eta_star[i])
+        assert report.alpha_breakpoints == classify_regime_3d(
+            beta[i], gamma[i], eta[i]).alpha_breakpoints
+    # labels of whole arrays against those of single points
+    for h in (INF, NEG_INF, -0.5, 0.0, 0.5, 1.0, 0.2, -0.3, 0.7):
+        labels = regime_label_grid(beta, gamma, h)
+        assert labels.shape == beta.shape
+        assert labels.tolist() == [regime_label_grid(b, g, h).item()
+                                   for b, g in zip(beta, gamma)]
+        assert regime_label_grid(beta, gamma[:1], h).tolist() == [
+            regime_label_grid(b, gamma[0], h).item() for b in beta]
+    assert [r.label2d for r in reports] == label2d.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +305,16 @@ def test_min_backhaul_regime_d_matches_per_link_peak(beta, gamma):
     assert min_backhaul_exponent(beta, gamma) == pytest.approx(
         per_link.max(), abs=1e-9
     )
+
+
+def test_min_backhaul_at_a_subnormal_beta_warns_nothing():
+    # The regime-D value overflows at beta = 5e-324, but regime D needs gamma
+    # near 1 there, so it is never selected and must not warn.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert min_backhaul_exponent(5e-324, 0.9) == (1.0 - 5e-324) / 2.0
+        assert min_backhaul_exponent_grid(np.array([5e-324, 0.05]), 0.9).tolist() == [
+            0.5, min_backhaul_exponent(0.05, 0.9)]
 
 
 def test_min_backhaul_negligible_cases():
