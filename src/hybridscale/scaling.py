@@ -131,6 +131,7 @@ def _terms(alpha, beta, gamma, eta):
     alpha = np.asarray(alpha, dtype=float)
     _, c, s = zip(*_lines(*(np.asarray(v, dtype=float) for v in (beta, gamma, eta))))
     cs = np.array(np.broadcast_arrays(*c, *s))
+    # (intercepts, slopes) x six lines x (alpha's extra axes) x the lines' axes
     cs = cs.reshape(2, 6, *(1,) * (alpha.ndim - cs.ndim + 1), *cs.shape[1:])
     return cs[0] - cs[1] * alpha
 
@@ -329,7 +330,7 @@ _NEAR, _SAMPLES = 16, 64
 def _breakpoints(beta: float, gamma: float, eta: float, alpha: float | None = None):
     """Segments of (2, inf) on which the tree keeps one (scheme, formula),
     and, given a query ``alpha``, the exponents at its four probe points
-    (``_probe_lines``) and the scheme code at the first.
+    (``_probe_terms``) and the scheme code at the first.
 
     The piece can only change near a crossing of two ``_lines``.  The tree
     is evaluated once on every float within ``_NEAR`` of each crossing, on
@@ -338,6 +339,7 @@ def _breakpoints(beta: float, gamma: float, eta: float, alpha: float | None = No
     adjacent floats is narrowed until they are.  Each breakpoint is the
     first float of its new piece.
     """
+    # Python floats: an overflow below gives inf and no numpy warning
     beta, gamma, eta = float(beta), float(gamma), float(eta)
     lines = _lines(beta, gamma, eta)
     _, c, s = zip(*lines)
@@ -354,8 +356,7 @@ def _breakpoints(beta: float, gamma: float, eta: float, alpha: float | None = No
     c, s = np.array([c, s])[:, :, None]
     terms = c - s * samples
     if alpha is not None:
-        pc, ps = _probe_lines(beta, gamma, eta)
-        terms = np.concatenate([terms, pc - ps * alpha], axis=1)
+        terms = np.concatenate([terms, _probe_terms(alpha, beta, gamma, eta)], axis=1)
     e, scheme, term = _select(terms)
     piece = (scheme * len(lines) + term)[:samples.size]
     k = np.nonzero(piece[1:] != piece[:-1])[0]
@@ -370,8 +371,9 @@ def _breakpoints(beta: float, gamma: float, eta: float, alpha: float | None = No
         first = np.argmax(cand_scheme * len(lines) + cand_term == new, axis=1)
         lo, hi = cand[rows, first - 1], cand[rows, first]
     bounds = [2.0, *hi.tolist(), INF]
+    kinds = [int(piece[0]), *new.ravel().tolist()]
     segs = tuple(AlphaInterval(a, b, _SCHEMES[p // len(lines)], lines[p % len(lines)][0])
-                 for a, b, p in zip(bounds, bounds[1:], [int(piece[0]), *new.ravel().tolist()]))
+                 for a, b, p in zip(bounds, bounds[1:], kinds))
     if alpha is None:
         return segs, None
     return segs, (e[samples.size:].tolist(), int(scheme[samples.size]))
@@ -482,20 +484,19 @@ def limitation_flags(p: ScalingPoint) -> LimitationFlags:
     up by SENSITIVITY_DELTA strictly raises the exponent (the probe skips
     validation, so points on the domain edge still get a well-defined flag).
     """
-    c, s = _probe_lines(p.beta, p.gamma, p.eta)
-    e, code, _ = _select(c - s * p.alpha)
+    e, code, _ = _select(_probe_terms(p.alpha, p.beta, p.gamma, p.eta))
     return _flags(e.tolist(), int(code[0]))
 
 
-def _probe_lines(beta: float, gamma: float, eta: float):
-    """Intercepts and slopes, each (6, 4), of the lines at the four probe
-    points of the flags: the point itself, eta = inf, beta + delta and
-    gamma + delta."""
+def _probe_terms(alpha: float, beta: float, gamma: float, eta: float):
+    """The six term values (6, 4) at the four probe points of the flags: the
+    point itself, eta = inf, beta + delta and gamma + delta."""
     d = SENSITIVITY_DELTA
     points = ((beta, gamma, eta), (beta, gamma, INF), (beta + d, gamma, eta),
               (beta, gamma + d, eta))
-    return np.array([v for q in points for line in _lines(*q)
+    c, s = np.array([v for q in points for line in _lines(*q)
                      for v in line[1:]]).reshape(4, 6, 2).T
+    return c - s * alpha
 
 
 def _flags(e: list[float], code: int) -> LimitationFlags:
